@@ -17,6 +17,7 @@ than an algebraic identity of the DFT.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -44,7 +45,8 @@ class GridSpec:
 
     x_n = -L + n h with h = 2L/N, and xi_j = pi j / L for j = -N/2 .. N/2-1.
     N is restricted to powers of two (>= 16) so that FFTs are cheap and the
-    dyadic frequency coverage is unambiguous.
+    dyadic frequency coverage is unambiguous. The axes x and xi are built once
+    per (L, N) and shared, read-only, by every GridSpec with those values.
     """
 
     half_width: float
@@ -64,13 +66,11 @@ class GridSpec:
 
     @property
     def x(self) -> np.ndarray:
-        n = np.arange(self.size)
-        return -self.half_width + n * self.spacing
+        return _axes(self.half_width, self.size)[0]
 
     @property
     def xi(self) -> np.ndarray:
-        j = np.arange(-self.size // 2, self.size // 2)
-        return np.pi * j / self.half_width
+        return _axes(self.half_width, self.size)[1]
 
     @property
     def xi_spacing(self) -> float:
@@ -81,9 +81,24 @@ class GridSpec:
         return np.pi * self.size / (2.0 * self.half_width)
 
     def _signs(self) -> np.ndarray:
-        # exp(i xi_j L) = (-1)^j, the phase correction for the x-grid offset
-        j = np.arange(-self.size // 2, self.size // 2)
-        return np.where(j % 2 == 0, 1.0, -1.0)
+        return _axes(self.half_width, self.size)[2]
+
+
+@functools.lru_cache(maxsize=8)
+def _axes(half_width: float, size: int) -> tuple:
+    """(x, xi, signs) of a grid, built once per (half_width, size) and shared read-only.
+
+    signs_j = exp(i xi_j L) = (-1)^j is the phase correction for the x-grid
+    offset, applied by every transform.
+    """
+    n = np.arange(size)
+    x = -half_width + n * (2.0 * half_width / size)
+    j = np.arange(-size // 2, size // 2)
+    xi = np.pi * j / half_width
+    signs = np.where(j % 2 == 0, 1.0, -1.0)
+    for axis in (x, xi, signs):
+        axis.flags.writeable = False
+    return x, xi, signs
 
 
 def _as_complex_array(values, n: int) -> np.ndarray:

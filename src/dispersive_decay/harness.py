@@ -26,14 +26,7 @@ from .errors import (
     UndefinedRatioError,
 )
 from .grid import GridSpec, SampledFunction, _forward_raw
-from .littlewood_paley import (
-    bernstein_derivative_ratio,
-    bernstein_ratio,
-    lemma1_ratio,
-    lemma2_ratio,
-    make_bump,
-    resolvable_k,
-)
+from .littlewood_paley import _lemma_denominator, _Piece, make_bump, resolvable_k
 from .propagator import evolve_quadrature, evolve_spectral, phase_speed
 from .proof_tracer import choose_l0, kernel_lower_bound, q0_estimate, trace_terms
 from .schwartz import generate_schwartz, schwartz_sample
@@ -188,64 +181,72 @@ _SUITE_ROWS = (
 )
 
 
+# row name -> the ratio of one (sample, k), from the sample's dyadic piece and
+# its lemma denominator ||f||_2 + ||x f'||_2
+_ROW_RATIOS = {
+    "bern_1_2": lambda piece, denom: piece.bernstein(1, 2),
+    "bern_2_4": lambda piece, denom: piece.bernstein(2, 4),
+    "bern_2_inf": lambda piece, denom: piece.bernstein(2, np.inf),
+    "bern2_s1_p2": lambda piece, denom: max(piece.derivative_bernstein(1.0, 2)),
+    "lemma1": lambda piece, denom: piece.lemma1(denom),
+    "lemma2_s0.75": lambda piece, denom: piece.lemma2(0.75, denom),
+}
+
+
 def run_lemma_suites(config: SuiteConfig, grid: GridSpec | None = None,
                      rows: tuple = None) -> list:
     """Empirical max/median constants for the Bernstein and lemma ratio checks.
 
-    Undefined ratios (pieces that vanish identically on the grid) are excluded
-    from the statistics; k values whose annulus contains no grid node at all
-    are skipped up front and reported in the row.  If more than 5% of the
-    evaluated cases are undefined the suite is degenerate and an error is
-    raised.
+    Each sample is transformed once, and each of its dyadic pieces is formed
+    once and shared by every row. Undefined ratios (pieces that vanish
+    identically on the grid) are excluded from the statistics; k values whose
+    annulus contains no grid node at all are skipped up front and reported in
+    the row.  The suite is degenerate, and an error is raised, when no k is
+    usable or more than 5% of the evaluated cases of a row are undefined.
     """
     grid = grid or LEMMA_GRID
-    bump = make_bump()
-    k_values = [k for k in range(config.k_range[0], config.k_range[1] + 1)]
-    usable = [k for k in k_values if resolvable_k(grid, k)]
     row_names = [r[0] for r in (rows or _SUITE_ROWS)]
-    samples = [schwartz_sample(grid, config.seed, i) for i in range(config.n_samples)]
-    from .calculus import weighted_norm
-    from .grid import l2_norm_physical
-    denoms = [l2_norm_physical(f) + weighted_norm(f) for f in samples]
+    for name in row_names:
+        if name not in _ROW_RATIOS:
+            raise ParameterError(f"unknown row {name}")
+    k_values = list(range(config.k_range[0], config.k_range[1] + 1))
+    usable = [k for k in k_values if resolvable_k(grid, k)]
+    if not usable:
+        raise SuiteDegenerateError(
+            f"no k in {config.k_range} has an annulus resolved by the grid "
+            f"(xi spacing {grid.xi_spacing:g}, Nyquist {grid.nyquist:g})"
+        )
+    bump = make_bump()
+    values = {name: [] for name in row_names}
+    undefined = dict.fromkeys(row_names, 0)
+    for i in range(config.n_samples):
+        f = schwartz_sample(grid, config.seed, i)
+        hat = _forward_raw(grid, f.values)
+        denom = _lemma_denominator(f)
+        for k in usable:
+            piece = _Piece(f, k, bump, hat)
+            for name in row_names:
+                try:
+                    values[name].append(_ROW_RATIOS[name](piece, denom))
+                except UndefinedRatioError:
+                    undefined[name] += 1
 
     table = []
     for name in row_names:
-        values = []
-        undefined = 0
-        for f, denom in zip(samples, denoms):
-            for k in usable:
-                try:
-                    if name == "bern_1_2":
-                        values.append(bernstein_ratio(f, k, 1, 2, bump))
-                    elif name == "bern_2_4":
-                        values.append(bernstein_ratio(f, k, 2, 4, bump))
-                    elif name == "bern_2_inf":
-                        values.append(bernstein_ratio(f, k, 2, np.inf, bump))
-                    elif name == "bern2_s1_p2":
-                        lo, up = bernstein_derivative_ratio(f, k, 1.0, 2, bump)
-                        values.append(max(lo, up))
-                    elif name == "lemma1":
-                        values.append(lemma1_ratio(f, k, bump, _denom=denom))
-                    elif name == "lemma2_s0.75":
-                        values.append(lemma2_ratio(f, k, 0.75, bump, _denom=denom))
-                    else:
-                        raise ParameterError(f"unknown row {name}")
-                except UndefinedRatioError:
-                    undefined += 1
-        total = len(values) + undefined
-        if total and undefined > 0.05 * total:
+        total = len(values[name]) + undefined[name]
+        if undefined[name] > 0.05 * total:
             raise SuiteDegenerateError(
-                f"{name}: {undefined}/{total} cases undefined; suite degenerate"
+                f"{name}: {undefined[name]}/{total} cases undefined; suite degenerate"
             )
-        arr = np.asarray(values)
+        arr = np.asarray(values[name])
         table.append(
             {
                 "check": name,
-                "n": len(values),
-                "n_undefined": undefined,
+                "n": len(arr),
+                "n_undefined": undefined[name],
                 "skipped_k": [k for k in k_values if k not in usable],
-                "max": float(np.max(arr)) if len(arr) else math.nan,
-                "median": float(np.median(arr)) if len(arr) else math.nan,
+                "max": float(np.max(arr)),
+                "median": float(np.median(arr)),
                 "pinned": pins.LEMMA_SUITE_MAXIMA.get(name),
             }
         )

@@ -9,12 +9,18 @@ an orthogonal projection, and no idempotence is asserted.
 The ratio operations at the bottom are the numerical content of the two
 weighted-norm lemmas and of the Bernstein inequalities: each returns the
 quotient of the two sides of an inequality whose constant is implicit, and the
-suites record the empirical maxima as regression-pinned constants.
+suites record the empirical maxima as regression-pinned constants.  All of them
+are functionals of one dyadic piece and are computed by ``_Piece``, which holds
+the Nyquist guard and the zero-piece test, forms psi_k fhat once on the grid's
+cached xi axis and adds at most three transforms (P_k f, |D|^s P_k f and the
+transform of -i x P_k f).  The suites pass each sample's spectrum in, so a
+sample is transformed once for all its pieces and rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +34,7 @@ from .grid import (
     _inverse_raw,
     l2_norm_physical,
     l2_norm_spectral,
-    )
+)
 
 __all__ = [
     "BumpFunction",
@@ -46,25 +52,22 @@ __all__ = [
 _ZERO_PIECE_RTOL = 1e-280
 
 
-def _glue(u: np.ndarray, s: float) -> np.ndarray:
-    """exp(-s/u) for u > 0, extended by 0."""
-    out = np.zeros_like(u)
-    pos = u > 0
-    out[pos] = np.exp(-s / u[pos])
-    return out
-
-
 def _step(u: np.ndarray, s: float) -> np.ndarray:
-    """Smooth step: 0 for u <= 0, 1 for u >= 1, strictly increasing between."""
-    a = _glue(u, s)
-    b = _glue(1.0 - u, s)
+    """Smooth step: 0 for u <= 0, 1 for u >= 1, strictly increasing between.
+
+    exp(-s/u) / (exp(-s/u) + exp(-s/(1-u))) on 0 < u < 1; the exponentials are
+    evaluated on that transition set only.
+    """
     out = np.empty_like(u)
     lo = u <= 0
     hi = u >= 1
     mid = ~(lo | hi)
     out[lo] = 0.0
     out[hi] = 1.0
-    out[mid] = a[mid] / (a[mid] + b[mid])
+    um = u[mid]
+    a = np.exp(-s / um)
+    b = np.exp(-s / (1.0 - um))
+    out[mid] = a / (a + b)
     return out
 
 
@@ -116,18 +119,17 @@ def make_bump(transition_sharpness: float = 1.0) -> BumpFunction:
 _DEFAULT_BUMP = BumpFunction()
 
 
-def _piece_hat(f: SampledFunction, k: int, bump: BumpFunction) -> np.ndarray:
-    if 2.0 ** (k + 1) > f.grid.nyquist:
+def _require_in_band(grid: GridSpec, k: int):
+    if 2.0 ** (k + 1) > grid.nyquist:
         raise OutOfBandError(
-            f"band 2^{k + 1} exceeds the Nyquist frequency {f.grid.nyquist:g}"
+            f"band 2^{k + 1} exceeds the Nyquist frequency {grid.nyquist:g}"
         )
-    hat = _forward_raw(f.grid, f.values)
-    return bump.dyadic_piece(f.grid.xi, k) * hat
 
 
 def project(f: SampledFunction, k: int, bump: BumpFunction = _DEFAULT_BUMP) -> SampledFunction:
     """The Littlewood-Paley piece P_k f, back on the physical side."""
-    piece = _piece_hat(f, k, bump)
+    _require_in_band(f.grid, k)
+    piece = bump.dyadic_piece(f.grid.xi, k) * _forward_raw(f.grid, f.values)
     return SampledFunction(
         f.grid, _inverse_raw(f.grid, piece), band_limit=min(2.0 ** (k + 1), f.grid.nyquist * 0.999)
     )
@@ -167,11 +169,91 @@ class DyadicProjection:
         return SpectralFunction(self.source.grid, total)
 
 
-def _require_nonzero_piece(piece_hat: np.ndarray, full_hat: np.ndarray, k: int):
-    peak = np.max(np.abs(piece_hat))
-    ref = np.max(np.abs(full_hat))
-    if peak == 0.0 or (ref > 0 and peak < _ZERO_PIECE_RTOL * ref):
-        raise UndefinedRatioError(f"P_k f vanishes on the grid for k = {k}")
+class _Piece:
+    """The dyadic piece psi_k fhat of one sample, and every ratio built from it.
+
+    The Nyquist guard runs on construction. psi_k * fhat is formed once, from
+    the sample's spectrum ``hat`` when the caller already holds it; P_k f is
+    inverted on first use and kept, so the Bernstein and lemma ratios of one
+    (sample, k) share it. Each ratio adds at most one transform of its own.
+    """
+
+    def __init__(self, f: SampledFunction, k: int, bump: BumpFunction,
+                 hat: np.ndarray | None = None):
+        _require_in_band(f.grid, k)
+        self.grid = f.grid
+        self.k = k
+        self.hat = _forward_raw(f.grid, f.values) if hat is None else hat
+        self.piece_hat = bump.dyadic_piece(f.grid.xi, k) * self.hat
+
+    @cached_property
+    def phys(self) -> SampledFunction:
+        """P_k f."""
+        return SampledFunction(self.grid, _inverse_raw(self.grid, self.piece_hat))
+
+    @cached_property
+    def _vanishes(self) -> bool:
+        peak = np.max(np.abs(self.piece_hat))
+        ref = np.max(np.abs(self.hat))
+        return bool(peak == 0.0 or (ref > 0 and peak < _ZERO_PIECE_RTOL * ref))
+
+    def _require_nonzero(self):
+        if self._vanishes:
+            raise UndefinedRatioError(f"P_k f vanishes on the grid for k = {self.k}")
+
+    def bernstein(self, p, q) -> float:
+        """||P_k f||_q / (2^{k(1/p - 1/q)} ||P_k f||_p); p, q in {1, 2, 4, np.inf}."""
+        self._require_nonzero()
+        inv_p = 0.0 if p == np.inf else 1.0 / p
+        inv_q = 0.0 if q == np.inf else 1.0 / q
+        return lp_norm(self.phys, q) / (
+            2.0 ** (self.k * (inv_p - inv_q)) * lp_norm(self.phys, p))
+
+    def derivative_bernstein(self, s: float, p) -> tuple:
+        """(lhs/rhs, rhs/lhs) with lhs = ||P_k f||_p, rhs = 2^{-sk} || |D|^s P_k f ||_p."""
+        self._require_nonzero()
+        xi = self.grid.xi
+        mult = np.zeros_like(xi)
+        nz = xi != 0.0
+        mult[nz] = np.abs(xi[nz]) ** s
+        dpiece = SampledFunction(self.grid, _inverse_raw(self.grid, mult * self.piece_hat))
+        lhs = lp_norm(self.phys, p)
+        rhs = 2.0 ** (-s * self.k) * lp_norm(dpiece, p)
+        if rhs == 0.0 or lhs == 0.0:
+            raise UndefinedRatioError(f"degenerate piece for k = {self.k}")
+        return lhs / rhs, rhs / lhs
+
+    def lemma1(self, denom: float) -> float:
+        """2^k ||d/dxi (psi_k fhat)||_{L^2_xi} / denom.
+
+        d/dxi (psi_k fhat) is the forward transform of -i x P_k f: the
+        Plancherel manipulation of the lemma's proof, with no finite
+        differencing on the xi grid.
+        """
+        if denom == 0.0:
+            raise UndefinedRatioError("zero denominator")
+        if not np.any(self.piece_hat):
+            return 0.0  # fhat vanishes on supp psi_k; the bound is trivially met
+        dxi = _forward_raw(self.grid, -1j * self.grid.x * self.phys.values)
+        return 2.0**self.k * l2_norm_spectral(SpectralFunction(self.grid, dxi)) / denom
+
+    def lemma2(self, s: float, denom: float) -> float:
+        """||psi_k fhat||_{L^inf} / (||P_k f||_{L^2} + 2^{-sk} denom)."""
+        if not np.any(self.piece_hat):
+            if denom == 0.0:
+                raise UndefinedRatioError("zero denominator")
+            return 0.0  # fhat vanishes on supp psi_k; the bound is trivially met
+        piece_l2 = (l2_norm_spectral(SpectralFunction(self.grid, self.piece_hat))
+                    / np.sqrt(2.0 * np.pi))
+        total = piece_l2 + 2.0 ** (-s * self.k) * denom
+        if total == 0.0:
+            raise UndefinedRatioError("zero denominator")
+        return float(np.max(np.abs(self.piece_hat))) / total
+
+
+def _lemma_denominator(f: SampledFunction) -> float:
+    """||f||_{L^2} + ||x f'||_{L^2}, the right side of both weighted-norm lemmas."""
+    return l2_norm_physical(f) + weighted_norm(f)
 
 
 def bernstein_ratio(f: SampledFunction, k: int, p, q,
@@ -181,15 +263,7 @@ def bernstein_ratio(f: SampledFunction, k: int, p, q,
     qv = np.inf if q in (np.inf, "inf") else q
     if pv > qv:
         raise ParameterError("need p <= q")
-    hat = _forward_raw(f.grid, f.values)
-    piece_hat = bump.dyadic_piece(f.grid.xi, k) * hat
-    _require_nonzero_piece(piece_hat, hat, k)
-    if 2.0 ** (k + 1) > f.grid.nyquist:
-        raise OutOfBandError(f"band 2^{k + 1} exceeds Nyquist")
-    piece = SampledFunction(f.grid, _inverse_raw(f.grid, piece_hat))
-    inv_p = 0.0 if pv == np.inf else 1.0 / pv
-    inv_q = 0.0 if qv == np.inf else 1.0 / qv
-    return lp_norm(piece, qv) / (2.0 ** (k * (inv_p - inv_q)) * lp_norm(piece, pv))
+    return _Piece(f, k, bump).bernstein(pv, qv)
 
 
 def bernstein_derivative_ratio(f: SampledFunction, k: int, s: float, p,
@@ -201,68 +275,20 @@ def bernstein_derivative_ratio(f: SampledFunction, k: int, s: float, p,
     """
     if not (0 <= s <= 2):
         raise ParameterError("s must be in [0, 2]")
-    hat = _forward_raw(f.grid, f.values)
-    piece_hat = bump.dyadic_piece(f.grid.xi, k) * hat
-    _require_nonzero_piece(piece_hat, hat, k)
-    xi = f.grid.xi
-    mult = np.zeros_like(xi)
-    nz = xi != 0.0
-    mult[nz] = np.abs(xi[nz]) ** s
-    piece = SampledFunction(f.grid, _inverse_raw(f.grid, piece_hat))
-    dpiece = SampledFunction(f.grid, _inverse_raw(f.grid, mult * piece_hat))
-    lhs = lp_norm(piece, p)
-    rhs = 2.0 ** (-s * k) * lp_norm(dpiece, p)
-    if rhs == 0.0 or lhs == 0.0:
-        raise UndefinedRatioError(f"degenerate piece for k = {k}")
-    return lhs / rhs, rhs / lhs
+    return _Piece(f, k, bump).derivative_bernstein(s, p)
 
 
-def xi_derivative_of_piece(f: SampledFunction, k: int,
-                           bump: BumpFunction = _DEFAULT_BUMP) -> SpectralFunction:
-    """d/dxi of psi_k * fhat, computed as the forward transform of -i x times the piece.
-
-    This is the Plancherel manipulation used in the proof of the first
-    weighted-norm lemma, and avoids finite differencing on the xi grid.
-    """
-    hat = _forward_raw(f.grid, f.values)
-    piece_hat = bump.dyadic_piece(f.grid.xi, k) * hat
-    piece_phys = _inverse_raw(f.grid, piece_hat)
-    return SpectralFunction(f.grid, _forward_raw(f.grid, -1j * f.grid.x * piece_phys))
-
-
-def lemma1_ratio(f: SampledFunction, k: int, bump: BumpFunction = _DEFAULT_BUMP,
-                 _denom: float | None = None) -> float:
+def lemma1_ratio(f: SampledFunction, k: int, bump: BumpFunction = _DEFAULT_BUMP) -> float:
     """2^k ||d/dxi (psi_k fhat)||_{L^2_xi} / (||f||_{L^2} + ||x f'||_{L^2})."""
-    hat = _forward_raw(f.grid, f.values)
-    piece_hat = bump.dyadic_piece(f.grid.xi, k) * hat
-    if _denom is None:
-        _denom = l2_norm_physical(f) + weighted_norm(f)
-    if _denom == 0.0:
-        raise UndefinedRatioError("zero denominator")
-    if not np.any(piece_hat):
-        return 0.0  # fhat vanishes on supp psi_k; the bound is trivially met
-    num = l2_norm_spectral(xi_derivative_of_piece(f, k, bump))
-    return 2.0**k * num / _denom
+    return _Piece(f, k, bump).lemma1(_lemma_denominator(f))
 
 
 def lemma2_ratio(f: SampledFunction, k: int, s: float,
-                 bump: BumpFunction = _DEFAULT_BUMP, _denom: float | None = None) -> float:
+                 bump: BumpFunction = _DEFAULT_BUMP) -> float:
     """||psi_k fhat||_{L^inf} / (||P_k f||_{L^2} + 2^{-sk}(||f||_{L^2} + ||x f'||_{L^2}))."""
     if not (0.5 < s < 1.0):
         raise ParameterError("s must lie in (1/2, 1)")
-    hat = _forward_raw(f.grid, f.values)
-    piece_hat = bump.dyadic_piece(f.grid.xi, k) * hat
-    if _denom is None:
-        _denom = l2_norm_physical(f) + weighted_norm(f)
-    if not np.any(piece_hat):
-        if _denom == 0.0:
-            raise UndefinedRatioError("zero denominator")
-        return 0.0  # fhat vanishes on supp psi_k; the bound is trivially met
-    piece_l2 = l2_norm_spectral(SpectralFunction(f.grid, piece_hat)) / np.sqrt(2.0 * np.pi)
-    denom = piece_l2 + 2.0 ** (-s * k) * _denom
-    if denom == 0.0:
-        raise UndefinedRatioError("zero denominator")
-    return float(np.max(np.abs(piece_hat))) / denom
+    return _Piece(f, k, bump).lemma2(s, _lemma_denominator(f))
 
 
 def resolvable_k(grid: GridSpec, k: int) -> bool:

@@ -5,8 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from dispersive_decay import pins
-from dispersive_decay.calculus import locate_sup, norms
+from dispersive_decay import harness, pins
+from dispersive_decay.calculus import (
+    fractional_derivative,
+    locate_sup,
+    lp_norm,
+    norms,
+    weighted_norm,
+)
 from dispersive_decay.cli import main
 from dispersive_decay.errors import ParameterError
 from dispersive_decay.grid import GridSpec, SampledFunction, forward_ft
@@ -20,8 +26,9 @@ from dispersive_decay.harness import (
     run_trace,
     write_csv,
 )
+from dispersive_decay.littlewood_paley import project, resolvable_k
 from dispersive_decay.propagator import evolve_spectral
-from dispersive_decay.schwartz import generate_schwartz
+from dispersive_decay.schwartz import generate_schwartz, schwartz_sample
 
 SMALL = GridSpec(half_width=512.0, size=16384)
 FAST = SuiteConfig(seed=0, n_samples=2, alpha=0.5, times=(1.0, 4.0, 16.0),
@@ -167,6 +174,75 @@ class TestLemmaSuites:
         # the lowest annuli contain no grid node at this resolution
         assert -8 in table[0]["skipped_k"]
 
+    def test_unknown_row_rejected_before_sampling(self, monkeypatch):
+        def no_sample(*args):
+            raise AssertionError("a sample was drawn before the rows were validated")
+
+        monkeypatch.setattr(harness, "schwartz_sample", no_sample)
+        with pytest.raises(ParameterError, match="unknown row"):
+            run_lemma_suites(SuiteConfig(seed=0, n_samples=2), self.GRID,
+                             rows=(("bern_1_2", ""), ("bern_3_1", "")))
+
+    @staticmethod
+    def _reference_table(config, grid):
+        """The suite's rows one ratio at a time, from P_k f = project(f, k)."""
+        w_xi = np.full(grid.size, grid.xi_spacing)
+        w_xi[[0, -1]] *= 0.5
+
+        def l2_xi(values):
+            return np.sqrt(np.sum(w_xi * np.abs(values) ** 2))
+
+        def bern(piece, k, p, q):
+            return lp_norm(piece, q) / (2.0 ** (k * (1.0 / p - 1.0 / q)) * lp_norm(piece, p))
+
+        rows = {"bern_1_2": [], "bern_2_4": [], "bern_2_inf": [], "bern2_s1_p2": [],
+                "lemma1": [], "lemma2_s0.75": []}
+        for i in range(config.n_samples):
+            f = schwartz_sample(grid, config.seed, i)
+            denom = lp_norm(f, 2) + weighted_norm(f)
+            for k in range(config.k_range[0], config.k_range[1] + 1):
+                if not resolvable_k(grid, k):
+                    continue
+                piece = project(f, k)
+                piece_hat = forward_ft(piece).values
+                rows["bern_1_2"].append(bern(piece, k, 1, 2))
+                rows["bern_2_4"].append(bern(piece, k, 2, 4))
+                rows["bern_2_inf"].append(bern(piece, k, 2, np.inf))
+                lhs = lp_norm(piece, 2)
+                rhs = 2.0 ** -k * lp_norm(fractional_derivative(piece, 1.0), 2)
+                rows["bern2_s1_p2"].append(max(lhs / rhs, rhs / lhs))
+                # d/dxi (psi_k fhat) is the transform of -i x P_k f
+                dxi = forward_ft(SampledFunction(grid, -1j * grid.x * piece.values)).values
+                rows["lemma1"].append(2.0 ** k * l2_xi(dxi) / denom)
+                rows["lemma2_s0.75"].append(np.max(np.abs(piece_hat)) / (
+                    l2_xi(piece_hat) / np.sqrt(2.0 * np.pi) + 2.0 ** (-0.75 * k) * denom))
+        return rows
+
+    def test_matches_reference_from_public_primitives(self):
+        cfg = SuiteConfig(seed=0, n_samples=2)
+        reference = self._reference_table(cfg, self.GRID)
+        for row in run_lemma_suites(cfg, self.GRID):
+            ref = np.asarray(reference[row["check"]])
+            assert (row["n"], row["n_undefined"]) == (len(ref), 0), row["check"]
+            np.testing.assert_allclose([row["max"], row["median"]],
+                                       [np.max(ref), np.median(ref)], rtol=1e-12,
+                                       err_msg=row["check"])
+
+    def test_transforms_per_sample(self, monkeypatch):
+        # one spectrum and the weighted norm's two transforms per sample, then
+        # P_k f, |D| P_k f and the transform of -i x P_k f per usable k
+        calls = []
+        for name in ("fft", "ifft"):
+            def counted(*args, _fft=getattr(np.fft, name), **kwargs):
+                calls.append(1)
+                return _fft(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        cfg = SuiteConfig(seed=0, n_samples=2)
+        run_lemma_suites(cfg, self.GRID)
+        usable = sum(resolvable_k(self.GRID, k) for k in range(-8, 9))
+        assert len(calls) <= cfg.n_samples * (3 + 3 * usable)
+
 
 class TestRunTrace:
     def test_trace_rows(self):
@@ -238,6 +314,13 @@ class TestCli:
         rows = read_csv_rows(out)
         assert len(rows) == 2
         assert rows[0]["backend"] == "spectral"
+
+    def test_lemma_suite_without_usable_k_exit_3(self, capsys):
+        # Nyquist 2.5e-5 lies below every annulus of k in [-8, 8]
+        code = main(["lemma-suite", "--grid-n", "16", "--half-width", "1000000",
+                     "--samples", "1"])
+        assert code == 3
+        assert "PASS" not in capsys.readouterr().out
 
     def test_verify_decay_guard_exit_3(self):
         code = main([

@@ -196,6 +196,22 @@ class TestBernstein:
             bernstein_derivative_ratio(gaussian(grid40, b=2.0), 1, 2.5, 2)
 
 
+@pytest.mark.parametrize("ratio", [
+    lambda f, k: bernstein_ratio(f, k, 2, np.inf),
+    lambda f, k: bernstein_derivative_ratio(f, k, 1.0, 2),
+    lambda f, k: lemma1_ratio(f, k),
+    lambda f, k: lemma2_ratio(f, k, 0.75),
+], ids=["bernstein", "bernstein_derivative", "lemma1", "lemma2"])
+def test_ratio_above_nyquist_rejected(ratio):
+    # Nyquist 40.2: the annulus of k = 6 straddles it, that of k = 8 lies
+    # wholly above it, where the piece is identically zero on the grid
+    grid = GridSpec(half_width=40.0, size=1024)
+    f = gaussian(grid, a=1.0, b=2.0)
+    for k in (6, 8):
+        with pytest.raises(OutOfBandError):
+            ratio(f, k)
+
+
 class TestLemmaRatios:
     def test_lemma1_zero_piece(self, grid40):
         f = gaussian(grid40, a=1.0, b=2.0)
