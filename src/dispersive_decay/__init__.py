@@ -30,7 +30,6 @@ from .grid import (
 from .harness import DecayReport, SuiteConfig, run_decay, run_lemma_suites, run_trace
 from .littlewood_paley import (
     BumpFunction,
-    DyadicProjection,
     bernstein_derivative_ratio,
     bernstein_ratio,
     lemma1_ratio,

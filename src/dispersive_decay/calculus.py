@@ -22,7 +22,8 @@ from .errors import (
 )
 from .grid import (
     SampledFunction,
-        _check_finite,
+    _check_finite,
+    _edge_exceeds,
     _forward_raw,
     _inverse_raw,
     l2_norm_physical,
@@ -119,20 +120,13 @@ def weighted_norm(f: SampledFunction) -> float:
     """
     df = spectral_derivative(f)
     integrand = f.grid.x * df.values
-    peak = float(np.max(np.abs(integrand)))
-    if peak > 0:
-        edge = max(1, int(0.05 * f.grid.size))
-        boundary = max(
-            float(np.max(np.abs(integrand[:edge]))),
-            float(np.max(np.abs(integrand[-edge:]))),
+    if _edge_exceeds(integrand, 1e-10):
+        warnings.warn(
+            "x * f'(x) does not decay at the grid boundary; the weighted "
+            "norm may be contaminated",
+            BoundaryDecayWarning,
+            stacklevel=2,
         )
-        if boundary > 1e-10 * peak:
-            warnings.warn(
-                "x * f'(x) does not decay at the grid boundary; the weighted "
-                "norm may be contaminated",
-                BoundaryDecayWarning,
-                stacklevel=2,
-            )
     return float(
         np.sqrt(
             np.sum(trapezoid_weights(f.grid.size, f.grid.spacing) * np.abs(integrand) ** 2)

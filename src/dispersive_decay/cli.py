@@ -23,6 +23,7 @@ from .errors import (
 from .grid import GridSpec
 from .harness import (
     DYADIC_TIMES,
+    TRACE_GRID,
     SuiteConfig,
     decay_rows,
     run_bernstein_suite,
@@ -150,7 +151,7 @@ def cmd_bernstein_suite(args) -> int:
 
 def cmd_trace_proof(args) -> int:
     config = _config(args)
-    result = run_trace(config, args.time)
+    result = run_trace(config, args.time, config.grid())
     trace = result["trace"]
     print(f"trace at t={args.time:g}, x={result['x']:.6g}, alpha={config.alpha:g}")
     print(f"reconstruction defect: {trace.reconstruction_defect:.3e}")
@@ -223,9 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bernstein_suite)
 
     p = sub.add_parser("trace-proof", help="per-term proof trace at one time")
-    _add_common(p, 200.0)
+    _add_common(p, TRACE_GRID.half_width)
     p.add_argument("--time", type=float, default=float(2**12))
-    p.set_defaults(func=cmd_trace_proof)
+    p.set_defaults(func=cmd_trace_proof, grid_n=TRACE_GRID.size)
 
     p = sub.add_parser("stationary-point", help="stationary point of the phase")
     p.add_argument("--time", type=float, required=True)

@@ -45,7 +45,7 @@ class UndefinedRatioError(ArithmeticError):
 
 
 class SuiteDegenerateError(RuntimeError):
-    """Too large a fraction of a suite produced undefined ratios."""
+    """A suite has nothing to measure, or too many of its ratios are undefined."""
 
 
 class BoundaryDecayWarning(UserWarning):

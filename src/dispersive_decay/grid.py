@@ -25,6 +25,10 @@ import numpy as np
 
 from .errors import BoundaryDecayWarning, InvalidInputError
 
+# spectral samples at or below this fraction of the peak magnitude count as
+# unoccupied: round-off of the transform, not content of the function
+_SUPPORT_RTOL = 1e-13
+
 __all__ = [
     "GridSpec",
     "SampledFunction",
@@ -154,11 +158,37 @@ class SpectralFunction:
     def with_values(self, values) -> "SpectralFunction":
         return SpectralFunction(self.grid, values)
 
+    @functools.cached_property
+    def occupied(self) -> np.ndarray:
+        """Read-only mask of the nodes where |fhat| > 1e-13 times its peak.
 
+        The node xi = 0 is included here; ``occupied_band`` leaves it out.
+        """
+        mag = np.abs(self.values)
+        mask = mag > _SUPPORT_RTOL * float(np.max(mag))
+        mask.flags.writeable = False
+        return mask
+
+    def occupied_band(self, side: int = 0):
+        """(min |xi|, max |xi|) of the occupied nodes with xi != 0, or None if there are none.
+
+        ``side`` restricts the nodes to xi > 0 (+1) or xi < 0 (-1); 0 takes both.
+        """
+        xi = self.grid.xi
+        sel = self.occupied & ((xi != 0.0) if side == 0 else (side * xi > 0))
+        if not np.any(sel):
+            return None
+        a = np.abs(xi[sel])
+        return float(np.min(a)), float(np.max(a))
+
+
+@functools.lru_cache(maxsize=8)
 def trapezoid_weights(n: int, spacing: float) -> np.ndarray:
+    """Trapezoid-rule weights of n nodes, built once per (n, spacing) and shared read-only."""
     w = np.full(n, spacing)
     w[0] *= 0.5
     w[-1] *= 0.5
+    w.flags.writeable = False
     return w
 
 
@@ -189,24 +219,26 @@ def _inverse_raw(grid: GridSpec, hat: np.ndarray) -> np.ndarray:
     return np.fft.ifft(F)
 
 
+def _edge_exceeds(values: np.ndarray, rtol: float) -> bool:
+    """True when |values| in the outer 5% at either end exceeds rtol times its peak."""
+    mag = np.abs(values)
+    peak = float(np.max(mag))
+    edge = max(1, int(0.05 * mag.size))
+    boundary = max(float(np.max(mag[:edge])), float(np.max(mag[-edge:])))
+    return boundary > rtol * peak
+
+
 def forward_ft(f: SampledFunction) -> SpectralFunction:
     """Discrete approximation of fhat(xi) = int f(x) exp(-i xi x) dx on the dual grid."""
     _check_finite(f.values, "forward_ft")
     notes = ()
-    edge = max(1, int(0.05 * f.grid.size))
-    peak = float(np.max(np.abs(f.values)))
-    if peak > 0:
-        boundary = max(
-            float(np.max(np.abs(f.values[:edge]))),
-            float(np.max(np.abs(f.values[-edge:]))),
+    if _edge_exceeds(f.values, 1e-14):
+        msg = (
+            "input does not decay below 1e-14 (relative) in the outer 5% of "
+            "the grid; the transform is contaminated by periodization"
         )
-        if boundary > 1e-14 * peak:
-            msg = (
-                "input does not decay below 1e-14 (relative) in the outer 5% of "
-                "the grid; the transform is contaminated by periodization"
-            )
-            warnings.warn(msg, BoundaryDecayWarning, stacklevel=2)
-            notes = (msg,)
+        warnings.warn(msg, BoundaryDecayWarning, stacklevel=2)
+        notes = (msg,)
     return SpectralFunction(f.grid, _forward_raw(f.grid, f.values), notes=notes)
 
 

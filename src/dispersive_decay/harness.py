@@ -25,12 +25,11 @@ from .errors import (
     SuiteDegenerateError,
     UndefinedRatioError,
 )
-from .grid import GridSpec, SampledFunction, _forward_raw
+from .grid import GridSpec, SampledFunction, SpectralFunction, _forward_raw
 from .littlewood_paley import _lemma_denominator, _Piece, make_bump, resolvable_k
 from .propagator import evolve_quadrature, evolve_spectral, phase_speed
 from .proof_tracer import choose_l0, kernel_lower_bound, q0_estimate, trace_terms
 from .schwartz import generate_schwartz, schwartz_sample
-from .grid import SpectralFunction
 
 __all__ = [
     "SuiteConfig",
@@ -103,10 +102,7 @@ def _quadrature_sup(phi: SampledFunction, t: float, alpha: float,
     search can miss competing lobes.
     """
     hat = SpectralFunction(phi.grid, _forward_raw(phi.grid, phi.values))
-    mag = np.abs(hat.values)
-    mask = mag > 1e-13 * np.max(mag)
-    occupied = np.abs(phi.grid.xi[mask & (phi.grid.xi != 0)])
-    v_max = phase_speed(float(np.min(occupied)), alpha)
+    v_max = phase_speed(hat.occupied_band()[0], alpha)
     spread = 15.0  # initial packet extent: |x0| <= 10 plus Gaussian tails
     lo, hi = -abs(t) * v_max - spread, abs(t) * v_max + spread
     xs = np.linspace(lo, hi, n_coarse)
@@ -129,11 +125,20 @@ def _quadrature_sup(phi: SampledFunction, t: float, alpha: float,
 
 
 def run_decay(config: SuiteConfig) -> list:
-    """Evolve each sample over the time grid and assemble the decay reports."""
+    """Evolve each sample over the time grid and assemble the decay reports.
+
+    A sample whose band holds no occupied grid frequency has nothing to
+    evolve; the suite is then degenerate and an error is raised.
+    """
     grid = config.grid()
     reports = []
     for i in range(config.n_samples):
         phi = generate_schwartz(config.seed, i, config.band, grid)
+        if SpectralFunction(grid, _forward_raw(grid, phi.values)).occupied_band() is None:
+            raise SuiteDegenerateError(
+                f"sample {i}: band {config.band} holds no occupied frequency of the "
+                f"grid (xi spacing {grid.xi_spacing:g})"
+            )
         nb = norms(phi)
         denom = nb.h1 + nb.weighted
         sups, args, ratios, backends = [], [], [], []
@@ -170,6 +175,7 @@ def run_decay(config: SuiteConfig) -> list:
 
 
 LEMMA_GRID = GridSpec(half_width=200.0, size=131072)
+TRACE_GRID = GridSpec(half_width=200.0, size=32768)
 
 _SUITE_ROWS = (
     ("bern_1_2", "bernstein ||P_k f||_2 <= C 2^{k/2} ||P_k f||_1"),
@@ -257,6 +263,13 @@ def run_bernstein_suite(config: SuiteConfig, grid: GridSpec | None = None) -> li
     return run_lemma_suites(config, grid, rows=_SUITE_ROWS[:4])
 
 
+def _dominant_speed(phi: SampledFunction, alpha: float) -> float:
+    """Group speed |Phi'| at the spectral peak of phi; x = -t * speed is its dominant ray."""
+    hat = _forward_raw(phi.grid, phi.values)
+    peak_xi = abs(float(phi.grid.xi[int(np.argmax(np.abs(hat)))]))
+    return phase_speed(peak_xi, alpha)
+
+
 def run_trace(config: SuiteConfig, t: float, grid: GridSpec | None = None,
               x: float | None = None) -> dict:
     """Trace every proof term for the first sample of the configured suite.
@@ -268,13 +281,11 @@ def run_trace(config: SuiteConfig, t: float, grid: GridSpec | None = None,
         raise ParameterError(
             "middle band is empty for |t| < 2^10; pass allow_empty_band to proceed"
         )
-    grid = grid or GridSpec(half_width=200.0, size=32768)
+    grid = grid or TRACE_GRID
     band = (config.band[0], min(config.band[1], 0.9 * grid.nyquist))
     phi = generate_schwartz(config.seed, 0, band, grid)
     if x is None:
-        hat = _forward_raw(grid, phi.values)
-        peak_xi = abs(float(grid.xi[int(np.argmax(np.abs(hat)))]))
-        x = -t * phase_speed(peak_xi, config.alpha)
+        x = -t * _dominant_speed(phi, config.alpha)
     trace = trace_terms(phi, t, x, config.alpha)
     rows = []
     for k, mag in sorted(trace.piece_mags.items()):
@@ -318,16 +329,15 @@ def run_trace_ratio_suite(config: SuiteConfig, times: tuple = TRACE_SUITE_TIMES,
     non-stationary regimes contribute too.  Returns the maxima keyed by term
     name; these are the quantities pinned as regression constants.
     """
-    grid = grid or GridSpec(half_width=200.0, size=32768)
+    grid = grid or TRACE_GRID
     band = (config.band[0], min(config.band[1], 0.9 * grid.nyquist))
     maxima = {name: 0.0 for name in ("A", "B1", "B2", "B3", "C")}
     for i in range(config.n_samples):
         phi = generate_schwartz(config.seed, i, band, grid)
-        hat = _forward_raw(grid, phi.values)
-        peak_xi = abs(float(grid.xi[int(np.argmax(np.abs(hat)))]))
+        speed = _dominant_speed(phi, config.alpha)
         for t in times:
             for ray_factor in (0.125, 1.0, 8.0):
-                x = -t * phase_speed(peak_xi, config.alpha) * ray_factor
+                x = -t * speed * ray_factor
                 tr = trace_terms(phi, t, x, config.alpha, with_annuli=False)
                 for name, r in (("A", tr.ratio_A), ("B1", tr.ratio_B1),
                                 ("B2", tr.ratio_B2), ("B3", tr.ratio_B3),

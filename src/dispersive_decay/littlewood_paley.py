@@ -19,7 +19,7 @@ sample is transformed once for all its pieces and rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -39,7 +39,6 @@ from .grid import (
 __all__ = [
     "BumpFunction",
     "make_bump",
-    "DyadicProjection",
     "project",
     "bernstein_ratio",
     "bernstein_derivative_ratio",
@@ -71,19 +70,6 @@ def _step(u: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
-def _step_deriv(u: np.ndarray, s: float) -> np.ndarray:
-    out = np.zeros_like(u)
-    # keep away from the endpoints where the quotient is 0/0 at machine level
-    mid = (u > 1e-9) & (u < 1.0 - 1e-9)
-    um = u[mid]
-    a = np.exp(-s / um)
-    b = np.exp(-s / (1.0 - um))
-    da = s / um**2 * a
-    db = s / (1.0 - um) ** 2 * b
-    out[mid] = (da * b + a * db) / (a + b) ** 2
-    return out
-
-
 @dataclass(frozen=True)
 class BumpFunction:
     """Even C-infinity bump: 1 on [-1, 1], supported in [-2, 2], values in [0, 1]."""
@@ -94,20 +80,10 @@ class BumpFunction:
         x = np.asarray(x, dtype=float)
         return 1.0 - _step(np.abs(x) - 1.0, self.sharpness)
 
-    def derivative(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return -np.sign(x) * _step_deriv(np.abs(x) - 1.0, self.sharpness)
-
     def dyadic_piece(self, xi, k: int) -> np.ndarray:
         """psi_k(xi) = psi(xi / 2^k) - psi(xi / 2^{k-1}); supported on 2^{k-1} <= |xi| <= 2^{k+1}."""
         xi = np.asarray(xi, dtype=float)
         return self(xi / 2.0**k) - self(xi / 2.0 ** (k - 1))
-
-    def dyadic_piece_derivative(self, xi, k: int) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        return self.derivative(xi / 2.0**k) / 2.0**k - self.derivative(
-            xi / 2.0 ** (k - 1)
-        ) / 2.0 ** (k - 1)
 
 
 def make_bump(transition_sharpness: float = 1.0) -> BumpFunction:
@@ -133,40 +109,6 @@ def project(f: SampledFunction, k: int, bump: BumpFunction = _DEFAULT_BUMP) -> S
     return SampledFunction(
         f.grid, _inverse_raw(f.grid, piece), band_limit=min(2.0 ** (k + 1), f.grid.nyquist * 0.999)
     )
-
-
-@dataclass(frozen=True)
-class DyadicProjection:
-    """The family {P_k phi} for k in [k_min, k_max], plus the low-frequency remainder."""
-
-    source: SampledFunction
-    k_range: tuple
-    pieces: dict = field(default_factory=dict)
-    bump: BumpFunction = _DEFAULT_BUMP
-
-    @classmethod
-    def decompose(cls, f: SampledFunction, k_min: int, k_max: int,
-                  bump: BumpFunction = _DEFAULT_BUMP) -> "DyadicProjection":
-        if k_min > k_max:
-            raise ParameterError("k_min must not exceed k_max")
-        hat = _forward_raw(f.grid, f.values)
-        pieces = {
-            k: SpectralFunction(f.grid, bump.dyadic_piece(f.grid.xi, k) * hat)
-            for k in range(k_min, k_max + 1)
-        }
-        return cls(source=f, k_range=(k_min, k_max), pieces=pieces, bump=bump)
-
-    def low_remainder(self) -> SpectralFunction:
-        """psi(xi / 2^{k_min - 1}) * fhat, the part below the lowest annulus."""
-        hat = _forward_raw(self.source.grid, self.source.values)
-        cut = self.bump(self.source.grid.xi / 2.0 ** (self.k_range[0] - 1))
-        return SpectralFunction(self.source.grid, cut * hat)
-
-    def reconstruct(self) -> SpectralFunction:
-        total = self.low_remainder().values.copy()
-        for piece in self.pieces.values():
-            total = total + piece.values
-        return SpectralFunction(self.source.grid, total)
 
 
 class _Piece:

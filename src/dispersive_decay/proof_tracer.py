@@ -24,7 +24,7 @@ import numpy as np
 
 from .calculus import hs_norm, weighted_norm
 from .errors import ParameterError
-from .grid import SampledFunction, _forward_raw, l2_norm_physical
+from .grid import SampledFunction, SpectralFunction, _forward_raw, l2_norm_physical
 from .littlewood_paley import BumpFunction, make_bump
 from .propagator import (
     SpectralAmplitude,
@@ -32,7 +32,6 @@ from .propagator import (
     oscillatory_integral,
     stationary_point,
 )
-from .grid import SpectralFunction
 
 __all__ = [
     "BandPartition",
@@ -96,46 +95,11 @@ class BandPartition:
         return out
 
 
-def build_partition(t: float, x: float, alpha: float = 0.5, margin: float = 16.0) -> BandPartition:
-    """Evaluate the index-set inequalities exactly as written.
-
-    For alpha = 1/2 the sets reduce to the original ones with the constant 16,
-    since 2^{k(1-alpha)} = 2^{k/2}; ``margin`` is the constant M of the
-    generalized partition and defaults to 16 accordingly.
-    """
-    if t == 0.0:
-        raise ParameterError("t must be nonzero")
-    if margin < 1.0:
-        raise ParameterError("margin must be >= 1")
-    lam = lambda_low(t)
-    Lam = lambda_high(t)
-    middle = [k for k in _K_SCAN if lam <= 2.0**k <= Lam]
-    a_max = max((k for k in _K_SCAN if 2.0**k <= lam), default=_K_SCAN.start - 1)
-    c_min = min((k for k in _K_SCAN if 2.0**k >= Lam), default=_K_SCAN.stop)
-    if x == 0.0:
-        return BandPartition(
-            t=t, x=x, alpha=alpha, margin=margin, lambda_t=lam, Lambda_t=Lam,
-            middle=tuple(middle), I1=tuple(middle), I2=(), I3=(),
-            a_max_k=a_max, c_min_k=c_min, flagged=True,
-        )
-    ray = abs(t / x)
-    I1 = tuple(k for k in middle if 2.0 ** (k * (1.0 - alpha)) <= ray / margin)
-    I2 = tuple(
-        k for k in middle
-        if ray / margin <= 2.0 ** (k * (1.0 - alpha)) <= margin * ray
-    )
-    I3 = tuple(k for k in middle if 2.0 ** (k * (1.0 - alpha)) >= margin * ray)
-    return BandPartition(
-        t=t, x=x, alpha=alpha, margin=margin, lambda_t=lam, Lambda_t=Lam,
-        middle=tuple(middle), I1=I1, I2=I2, I3=I3,
-        a_max_k=a_max, c_min_k=c_min,
-    )
-
-
 def _ray_sets(k: int, t: float, x: float, alpha: float, margin: float) -> set:
     """Which of I1/I2/I3 the ray inequalities alone place k in (closed, so a
     boundary k can land in two).  The middle-band restriction scopes the
-    partition, not these pointwise admissibility checks."""
+    partition, not these pointwise admissibility checks.  At x = 0 the ray
+    degenerates and every k is in I1."""
     if t == 0.0:
         raise ParameterError("t must be nonzero")
     if x == 0.0:
@@ -150,6 +114,31 @@ def _ray_sets(k: int, t: float, x: float, alpha: float, margin: float) -> set:
     if v >= margin * ray:
         out.add("I3")
     return out
+
+
+def build_partition(t: float, x: float, alpha: float = 0.5, margin: float = 16.0) -> BandPartition:
+    """Evaluate the index-set inequalities exactly as written.
+
+    For alpha = 1/2 the sets reduce to the original ones with the constant 16,
+    since 2^{k(1-alpha)} = 2^{k/2}; ``margin`` is the constant M of the
+    generalized partition and defaults to 16 accordingly.
+    """
+    if t == 0.0:
+        raise ParameterError("t must be nonzero")
+    if margin < 1.0:
+        raise ParameterError("margin must be >= 1")
+    lam = lambda_low(t)
+    Lam = lambda_high(t)
+    middle = tuple(k for k in _K_SCAN if lam <= 2.0**k <= Lam)
+    a_max = max((k for k in _K_SCAN if 2.0**k <= lam), default=_K_SCAN.start - 1)
+    c_min = min((k for k in _K_SCAN if 2.0**k >= Lam), default=_K_SCAN.stop)
+    sets = {k: _ray_sets(k, t, x, alpha, margin) for k in middle}
+    I1, I2, I3 = (tuple(k for k in middle if name in sets[k]) for name in ("I1", "I2", "I3"))
+    return BandPartition(
+        t=t, x=x, alpha=alpha, margin=margin, lambda_t=lam, Lambda_t=Lam,
+        middle=middle, I1=I1, I2=I2, I3=I3,
+        a_max_k=a_max, c_min_k=c_min, flagged=bool(x == 0.0),
+    )
 
 
 class BoundedValue(NamedTuple):
@@ -317,8 +306,8 @@ def trace_terms(phi: SampledFunction, t: float, x: float, alpha: float = 0.5,
     if t == 0.0:
         raise ParameterError("t must be nonzero")
     part = build_partition(t, x, alpha, margin)
-    hat = _forward_raw(phi.grid, phi.values)
-    amp = SpectralAmplitude(SpectralFunction(phi.grid, hat))
+    F = SpectralFunction(phi.grid, _forward_raw(phi.grid, phi.values))
+    amp = SpectralAmplitude(F)
     if not amp.support:
         zero = BoundedValue(0.0, 0.0)
         return ProofTrace(
@@ -328,14 +317,12 @@ def trace_terms(phi: SampledFunction, t: float, x: float, alpha: float = 0.5,
             ratio_A=zero.ratio, ratio_B1=0.0, ratio_B2=0.0, ratio_B3=0.0,
             ratio_C=0.0, s_choice=(2.0 - alpha) / 2.0,
         )
-    abs_xi = np.abs(phi.grid.xi)
-    peak = np.max(np.abs(hat))
+    occupied_xi = np.abs(phi.grid.xi[F.occupied])
     active = []
     for k in _K_SCAN:
         if 2.0 ** (k + 1) > phi.grid.nyquist:
             break
-        sel = (abs_xi > 2.0 ** (k - 1)) & (abs_xi < 2.0 ** (k + 1))
-        if np.any(sel) and np.max(np.abs(hat[sel])) > 1e-13 * peak:
+        if np.any((occupied_xi > 2.0 ** (k - 1)) & (occupied_xi < 2.0 ** (k + 1))):
             active.append(k)
     if not active:
         active = [0]

@@ -50,7 +50,6 @@ __all__ = [
 ]
 
 _WRAP_FRACTION = 0.4
-_SUPPORT_RTOL = 1e-13
 
 
 def _phi(xi, alpha):
@@ -119,19 +118,6 @@ def stationary_point(t: float, x: float, alpha: float = 0.5):
     return -np.sign(x * t) * mag
 
 
-def _occupied_band(F: SpectralFunction):
-    """(xi_lo, xi_hi) bounds of the numerically occupied spectrum, excluding xi = 0."""
-    mag = np.abs(F.values)
-    peak = float(np.max(mag))
-    if peak == 0.0:
-        return None
-    mask = (mag > _SUPPORT_RTOL * peak) & (F.grid.xi != 0.0)
-    if not np.any(mask):
-        return None
-    a = np.abs(F.grid.xi[mask])
-    return float(np.min(a)), float(np.max(a))
-
-
 def evolve_spectral(phi: SampledFunction, t: float, alpha: float = 0.5) -> SampledFunction:
     """exp(i t |D|^alpha) phi by pointwise multiplication on the frequency grid."""
     _check_finite(phi.values, "evolve_spectral")
@@ -140,8 +126,7 @@ def evolve_spectral(phi: SampledFunction, t: float, alpha: float = 0.5) -> Sampl
     if t == 0.0:
         return phi
     hat = _forward_raw(phi.grid, phi.values)
-    F = SpectralFunction(phi.grid, hat)
-    band = _occupied_band(F)
+    band = SpectralFunction(phi.grid, hat).occupied_band()
     if band is not None:
         # low frequencies travel arbitrarily fast for alpha < 1; the occupied
         # band never includes xi = 0 itself, so the speed below is finite
@@ -180,30 +165,18 @@ class SpectralAmplitude:
         self._re = make_interp_spline(xi, F.values.real, k=5)
         self._im = make_interp_spline(xi, F.values.imag, k=5)
         self.grid = F.grid
-        self.xi_spacing = F.grid.xi_spacing
-        mag = np.abs(F.values)
-        peak = float(np.max(mag))
-        self.peak = peak
+        self.xi_spacing = d = F.grid.xi_spacing
+        floor = 0.5 * d
         self.support = []
-        self.excluded_mass = 0.0
-        if peak > 0.0:
-            d = F.grid.xi_spacing
-            floor = 0.5 * d
-            mask = mag > _SUPPORT_RTOL * peak
-            for sgn in (-1, 1):
-                sel = mask & (sgn * xi > 0)
-                if not np.any(sel):
-                    continue
-                a = np.abs(xi[sel])
-                lo = max(float(np.min(a)) - d, floor)
-                hi = min(float(np.max(a)) + d, float(F.grid.nyquist))
-                if sgn > 0:
-                    self.support.append((lo, hi))
-                else:
-                    self.support.append((-hi, -lo))
-            near_zero = mask & (np.abs(xi) < floor)
-            if np.any(near_zero):
-                self.excluded_mass = float(np.sum(mag[near_zero]) * d)
+        for sgn in (-1, 1):
+            band = F.occupied_band(sgn)
+            if band is None:
+                continue
+            lo = max(band[0] - d, floor)
+            hi = min(band[1] + d, float(F.grid.nyquist))
+            self.support.append((lo, hi) if sgn > 0 else (-hi, -lo))
+        near_zero = F.occupied & (np.abs(xi) < floor)
+        self.excluded_mass = float(np.sum(np.abs(F.values[near_zero])) * d)
 
     def __call__(self, xi):
         return self._re(xi) + 1j * self._im(xi)

@@ -1,5 +1,7 @@
 """Fractional derivatives and the norm bundle of the decay estimate."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from dispersive_decay.calculus import (
     weighted_norm,
 )
 from dispersive_decay.errors import (
+    BoundaryDecayWarning,
     InvalidInputError,
     ParameterError,
     SingularMultiplierError,
@@ -122,6 +125,17 @@ class TestNorms:
         dg = fhat * (1.0 + xi * (-(xi - b) / 2.0 - 1j * x0))  # d/dxi (xi fhat)
         w_spec = np.sqrt(np.sum(np.abs(dg) ** 2) * grid40.xi_spacing / (2.0 * np.pi))
         assert abs(w_phys - w_spec) / w_phys < 1e-10
+
+    def test_weighted_warns_without_edge_decay(self):
+        # x f'(x) is visibly nonzero at |x| = 2
+        f = gaussian(GridSpec(half_width=2.0, size=64), a=0.5)
+        with pytest.warns(BoundaryDecayWarning, match="weighted"):
+            weighted_norm(f)
+
+    def test_weighted_silent_on_centred_gaussian(self, grid40):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BoundaryDecayWarning)
+            weighted_norm(gaussian(grid40, a=0.5))
 
     def test_lp_norms(self, grid40):
         f = gaussian(grid40, a=0.5)

@@ -15,6 +15,7 @@ from dispersive_decay.grid import (
     forward_ft,
     inverse_ft,
     plancherel_defect,
+    trapezoid_weights,
 )
 
 from conftest import gaussian
@@ -66,6 +67,35 @@ class TestGridSpec:
         f = SampledFunction(g, np.zeros(16))
         with pytest.raises(ValueError):
             f.values[0] = 1.0
+
+    def test_trapezoid_weights_shared_read_only(self):
+        g = GridSpec(half_width=4.0, size=16)
+        w = trapezoid_weights(g.size, g.spacing)
+        assert trapezoid_weights(g.size, g.spacing) is w
+        assert not w.flags.writeable
+        np.testing.assert_array_equal(w, [0.25] + [0.5] * 14 + [0.25])
+
+
+class TestOccupiedBand:
+    G = GridSpec(half_width=np.pi, size=16)  # xi = -8 .. 7
+
+    def spectrum(self, nodes):
+        hat = np.full(16, 1e-14)
+        hat[[j + 8 for j in nodes]] = 1.0
+        return SpectralFunction(self.G, hat)
+
+    def test_sides_and_zero_mode(self):
+        F = self.spectrum([-5, -2, 0, 3, 6])
+        assert F.occupied_band() == (2.0, 6.0)
+        assert F.occupied_band(1) == (3.0, 6.0)
+        assert F.occupied_band(-1) == (2.0, 5.0)
+        assert F.occupied[8]  # the mask keeps xi = 0; the bands leave it out
+
+    def test_empty(self):
+        assert SpectralFunction(self.G, np.zeros(16)).occupied_band() is None
+        F = self.spectrum([0, 4])
+        assert F.occupied_band(-1) is None
+        assert F.occupied_band() == (4.0, 4.0)
 
 
 class TestForward:

@@ -330,11 +330,25 @@ class TestCli:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("backend", ["auto", "spectral", "quadrature"])
+    def test_verify_decay_empty_band_exit_3(self, backend, capsys):
+        # the band 0.25:0.3 holds no node of the xi grid (spacing pi)
+        code = main(["verify-decay", "--grid-n", "16", "--half-width", "1",
+                     "--band", "0.25:0.3", "--samples", "1", "--t-grid", "1",
+                     "--backend", backend])
+        assert code == 3
+        assert "no occupied frequency" in capsys.readouterr().err
+
     def test_factorization_check(self, capsys):
         code = main(["factorization-check", "--grid-n", "16384",
                      "--band", "0.5:8"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_trace_proof_uses_grid_flags(self):
+        # 1000 is not a power of two, so the grid itself is invalid
+        assert main(["trace-proof", "--band", "0.5:8", "--grid-n", "1000",
+                     "--half-width", "7"]) == 2
 
     def test_trace_proof_smoke(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from dispersive_decay.errors import (
     OutOfBandError,
@@ -11,7 +10,6 @@ from dispersive_decay.errors import (
 )
 from dispersive_decay.grid import GridSpec, SampledFunction, forward_ft
 from dispersive_decay.littlewood_paley import (
-    DyadicProjection,
     bernstein_derivative_ratio,
     bernstein_ratio,
     lemma1_ratio,
@@ -41,18 +39,6 @@ class TestBump:
         assert np.all((0 <= v) & (v <= 1))
         np.testing.assert_array_equal(v, bump(-x))
 
-    def test_derivative_integral(self, bump):
-        # fundamental theorem: int_1^2 psi' = psi(2) - psi(1) = -1
-        val = quad(lambda x: float(bump.derivative(np.array([x]))[0]), 1.0, 2.0,
-                   limit=200)[0]
-        assert abs(val + 1.0) < 1e-10
-
-    def test_derivative_matches_finite_differences(self, bump):
-        x = np.linspace(1.01, 1.99, 197)
-        h = 1e-6
-        fd = (bump(x + h) - bump(x - h)) / (2 * h)
-        assert np.max(np.abs(bump.derivative(x) - fd)) < 1e-8
-
     def test_sharpness_validation(self):
         with pytest.raises(ParameterError):
             make_bump(0.0)
@@ -78,15 +64,6 @@ class TestBump:
                              -np.linspace(2.0 ** (-K + 1), 2.0 ** (K - 1), 30000)])
         total = sum(bump.dyadic_piece(xi, k) for k in range(-K, K + 1))
         assert np.max(np.abs(total - 1.0)) < 1e-12
-
-    def test_piece_derivative_scaling(self, bump):
-        # max |psi_k'| = 2^{-k} * max |psi_0'| exactly, by scale invariance
-        base = np.max(np.abs(bump.dyadic_piece_derivative(
-            np.linspace(0.25, 2.5, 40000), 0)))
-        for k in (-3, 2, 5):
-            xi = np.linspace(2.0 ** (k - 1), 2.0 ** (k + 1), 40000)
-            mk = np.max(np.abs(bump.dyadic_piece_derivative(xi, k)))
-            assert mk == pytest.approx(2.0 ** (-k) * base, rel=1e-6)
 
 
 class TestProject:
@@ -124,15 +101,6 @@ class TestProject:
         pk_hat = forward_ft(project(f, 3)).values
         outside = (np.abs(grid40.xi) < 2.0 ** 2) | (np.abs(grid40.xi) > 2.0 ** 4)
         assert np.max(np.abs(pk_hat[outside])) < 1e-12 * np.max(np.abs(pk_hat))
-
-    def test_reconstruction(self, grid200):
-        f = schwartz_sample(grid200, 4, 2)
-        proj = DyadicProjection.decompose(f, -8, 8)
-        rec = proj.reconstruct().values
-        hat = forward_ft(f).values
-        # frequencies above 2^8 are absent from the sample family
-        rel = np.linalg.norm(rec - hat) / np.linalg.norm(hat)
-        assert rel < 1e-12
 
 
 class TestBernstein:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dispersive_decay.errors import ParameterError
+from dispersive_decay.errors import DomainTooSmallError, ParameterError
 from dispersive_decay.grid import GridSpec, SampledFunction, SpectralFunction, forward_ft, inverse_ft
 from dispersive_decay.proof_tracer import (
     build_partition,
@@ -17,6 +17,7 @@ from dispersive_decay.proof_tracer import (
 )
 from dispersive_decay.propagator import (
     SpectralAmplitude,
+    evolve_spectral,
     oscillatory_integral,
     stationary_point,
 )
@@ -233,3 +234,47 @@ class TestTraceTerms:
         assert trace.s_choice == 0.75
         for bv in trace.q0_map.values():
             assert bv.ratio > 0
+
+
+class TestOccupiedSpectrum:
+    """The consumers of the occupied spectrum against a mask built here.
+
+    The sample's spectrum fills 0.5 < |xi| < 1 and 4 < |xi| < 8 and vanishes
+    in between, so the annulus of k = 1 (1 < |xi| < 4) holds none of it.
+    """
+
+    GRID = GridSpec(half_width=40.0, size=4096)
+
+    @pytest.fixture
+    def gapped(self):
+        xi = self.GRID.xi
+        hat = band_window(xi, 0.5, 1.0) + (1.0 + 0.5j) * band_window(xi, 4.0, 8.0)
+        phi = inverse_ft(SpectralFunction(self.GRID, hat.astype(complex)))
+        mag = np.abs(forward_ft(phi).values)
+        oracle = np.abs(xi[(mag > 1e-13 * np.max(mag)) & (xi != 0.0)])
+        return phi, oracle
+
+    def test_amplitude_support(self, gapped):
+        phi, oracle = gapped
+        d = self.GRID.xi_spacing
+        lo, hi = np.min(oracle) - d, np.max(oracle) + d
+        amp = SpectralAmplitude(forward_ft(phi))
+        assert amp.support == [(-hi, -lo), (lo, hi)]
+        assert amp.excluded_mass == 0.0
+
+    def test_wrap_guard_min_half_width(self, gapped):
+        phi, oracle = gapped
+        t, alpha = 1000.0, 0.5
+        with pytest.raises(DomainTooSmallError) as exc:
+            evolve_spectral(phi, t, alpha)
+        expected = alpha * np.min(oracle) ** (alpha - 1.0) * t / 0.4
+        assert exc.value.min_half_width == pytest.approx(expected, rel=1e-14)
+
+    def test_active_bands(self, gapped):
+        phi, oracle = gapped
+        expected = [k for k in range(-64, 65)
+                    if 2.0 ** (k + 1) <= self.GRID.nyquist
+                    and np.any((oracle > 2.0 ** (k - 1)) & (oracle < 2.0 ** (k + 1)))]
+        assert 1 not in expected
+        trace = trace_terms(phi, 64.0, -10.0, with_annuli=False)
+        assert sorted(trace.piece_mags) == expected
