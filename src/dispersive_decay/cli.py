@@ -24,6 +24,7 @@ from .grid import GridSpec
 from .harness import (
     DYADIC_TIMES,
     TRACE_GRID,
+    TRACE_SUITE_TIMES,
     SuiteConfig,
     decay_rows,
     run_bernstein_suite,
@@ -168,7 +169,34 @@ def cmd_trace_proof(args) -> int:
             )
     if config.out:
         write_csv(result["rows"], config.out)
-    return EXIT_PASS
+    if not _trace_pinned(config, args.time):
+        print("pinned: none")
+        return EXIT_PASS
+    # zero pins mean "structurally absent": hold them to a numerical floor
+    limits = {name: max(pins.PIN_HEADROOM * pin, 1e-12)
+              for name, pin in pins.TRACE_RATIO_MAXIMA.items()}
+    print("pinned: " + ", ".join(f"{name} <= {v:.6g}" for name, v in limits.items()))
+    status = EXIT_PASS
+    for row in result["rows"]:
+        name = row["section"]
+        if name in limits and row["bound_ratio"] > limits[name]:
+            print(f"regression: bound ratio {name} = {row['bound_ratio']:.6g} exceeds "
+                  f"{limits[name]:.6g}", file=sys.stderr)
+            status = EXIT_PIN_EXCEEDED
+    return status
+
+
+def _trace_pinned(config: SuiteConfig, t: float) -> bool:
+    """Whether trace-proof runs a ray of the suite TRACE_RATIO_MAXIMA were measured on.
+
+    That suite observes seed 0 at alpha 1/2, the default band and the trace
+    grid, at the times TRACE_SUITE_TIMES; its first sample on its dominant
+    ray is what trace-proof traces there, so each ratio stays below the
+    suite maximum.
+    """
+    return (config.seed == 0 and config.alpha == 0.5
+            and config.band == SuiteConfig().band and config.grid() == TRACE_GRID
+            and t in TRACE_SUITE_TIMES)
 
 
 def cmd_stationary_point(args) -> int:

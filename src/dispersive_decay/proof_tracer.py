@@ -3,11 +3,14 @@
 For a fixed evaluation point (t, x) the propagator value is split over dyadic
 frequency bands into a low block (A), a middle block (B) further partitioned
 by the index sets I1/I2/I3 (how the ray x/t compares with the group speeds on
-the annulus), and a high block (C).  Each term is computed by direct
-oscillatory quadrature on its band and reported together with the ratio to the
-right side of the bound it must satisfy; the constants are implicit in the
-analysis, so the suites pin the empirical ratios instead of asserting absolute
-thresholds.
+the annulus), and a high block (C).  Every term integrates the same
+amplitude against its own window (psi_k, the low bump, or an annulus around
+the stationary point), so all of them come from one panel set per (t, x) with
+one amplitude evaluation per node; the full integral u(t, x) is computed
+apart, on its own panels, so the reconstruction defect compares two
+quadratures.  Each term is reported together with the ratio to the right side
+of the bound it must satisfy; the constants are implicit in the analysis, so
+the suites pin the empirical ratios instead of asserting absolute thresholds.
 
 Index-set membership uses closed inequalities exactly as stated, so a boundary
 k may belong to two sets; it is recorded in both (upper bounds tolerate double
@@ -16,6 +19,7 @@ counting).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -29,6 +33,7 @@ from .littlewood_paley import BumpFunction, make_bump
 from .propagator import (
     SpectralAmplitude,
     _dphi,
+    _windowed_integrals,
     oscillatory_integral,
     stationary_point,
 )
@@ -44,8 +49,6 @@ __all__ = [
 ]
 
 _K_SCAN = range(-64, 65)
-_FINE = 1 << 14  # grid points per interval for infima (belt and braces; the
-                 # monotone structure of Q' makes the endpoint checks decisive)
 
 
 def lambda_low(t: float) -> float:
@@ -163,12 +166,32 @@ def _intersect(iv1, iv2):
     return out
 
 
+def _cut(intervals, points):
+    """The intervals split at every point strictly inside one of them."""
+    points = sorted(points)
+    out = []
+    for (a, b) in intervals:
+        edges = [a, *(p for p in points if a < p < b), b]
+        out.extend(zip(edges[:-1], edges[1:]))
+    return out
+
+
 def _min_abs_dq(intervals, t, x, alpha) -> float:
+    """min of |x + t Phi'| over the intervals, from their endpoints.
+
+    Phi' is monotone on each sign branch, so where x + t Phi' keeps its sign
+    on an interval its modulus is smallest at an endpoint.  An interval on
+    which it changes sign holds the stationary point, and is refused.
+    """
     best = np.inf
     for (a, b) in intervals:
-        grid = np.linspace(a, b, _FINE)
-        vals = np.abs(x + t * _dphi(grid, alpha))
-        best = min(best, float(np.min(vals)))
+        dq = x + t * _dphi(np.array([a, b], dtype=float), alpha)
+        if dq[0] * dq[1] < 0:
+            raise ParameterError(
+                f"x + t Phi' changes sign on ({a}, {b}): the interval holds the "
+                "stationary point"
+            )
+        best = min(best, float(np.min(np.abs(dq))))
     return best
 
 
@@ -216,6 +239,61 @@ def choose_l0(k: int, t: float, alpha: float) -> int:
 _DEFAULT_BUMP = make_bump()
 
 
+def _annulus_windows(amp: SpectralAmplitude, k: int, t: float, x: float, alpha: float,
+                     bump: BumpFunction) -> list:
+    """The stationary-phase windows of band k: the centre, then the l-annuli around xi0.
+
+    Each window is (label, intervals, weight, cap): label "center" or l, the
+    part of supp psi_k it covers, the weight psi_k times the centre bump or
+    psi_l(. - xi0), and the panel width that resolves that weight.  The
+    centre always comes first (its intervals may be empty); an l-annulus is
+    listed only where it meets the band.  The l-sum stops once 2^{l-1}
+    exceeds the reach of supp psi_k around xi0.
+    """
+    xi0 = stationary_point(t, x, alpha)
+    l0 = choose_l0(k, t, alpha)
+    band = _intersect(_annulus_intervals(k), amp.support)
+    scale = min(8.0 * amp.xi_spacing, 2.0**k / 8.0)
+
+    def center_weight(xi):
+        return bump.dyadic_piece(xi, k) * bump((xi - xi0) / 2.0**l0)
+
+    center_band = _intersect(band, [(xi0 - 2.0 ** (l0 + 1), xi0 + 2.0 ** (l0 + 1))])
+    out = [("center", center_band, center_weight, min(scale, 2.0**l0 / 4.0))]
+    reach = 2.0 ** (k + 1) + abs(xi0)
+    l = l0 + 1
+    while 2.0 ** (l - 1) <= reach:
+        shifted = [(xi0 + a, xi0 + b) for (a, b) in _annulus_intervals(l)]
+        pieces = _intersect(band, shifted)
+        if pieces:
+            def annulus_weight(xi, _l=l):
+                return bump.dyadic_piece(xi, k) * bump.dyadic_piece(xi - xi0, _l)
+
+            out.append((l, pieces, annulus_weight, min(scale, 2.0**l / 4.0)))
+        l += 1
+    return out
+
+
+def _integrate_windows(amp: SpectralAmplitude, intervals, windows, t: float, x: float,
+                       alpha: float) -> dict:
+    """One engine pass over the intervals for (label, intervals, weight, cap) windows.
+
+    The intervals are cut at every window edge, so each window is a union of
+    whole panels, and the panel width is capped by the smallest cap among the
+    windows; a window with no intervals gets 0.  Returns label -> integral.
+    """
+    live = [w for w in windows if w[1]]
+    out = {label: 0.0j for label, *_ in windows}
+    if live:
+        edges = [e for _, iv, *_ in live for ab in iv for e in ab]
+        vals = _windowed_integrals(
+            amp, _cut(intervals, edges), [(iv, weight) for _, iv, weight, _ in live],
+            t, x, alpha, amp_scale=min(cap for *_, cap in live),
+        )
+        out.update(zip((label for label, *_ in live), vals))
+    return out
+
+
 def annulus_decomposition(phi: SampledFunction, k: int, t: float, x: float,
                           alpha: float = 0.5, bump: BumpFunction = _DEFAULT_BUMP,
                           amp: SpectralAmplitude | None = None,
@@ -227,46 +305,19 @@ def annulus_decomposition(phi: SampledFunction, k: int, t: float, x: float,
     The l-sum truncates at the first empty intersection, which happens once
     2^{l-1} exceeds the diameter of supp psi_k around xi0 (finite by
     construction, no artificial cap).  The complex pieces telescope back to
-    the undecomposed integral exactly.
+    the undecomposed integral exactly.  All pieces come from one panel set
+    over the band.
     """
-    xi0 = stationary_point(t, x, alpha)
-    if xi0 is None:
+    if stationary_point(t, x, alpha) is None:
         raise ParameterError("no stationary point: annulus decomposition undefined")
     if amp is None:
         amp = SpectralAmplitude(
             SpectralFunction(phi.grid, _forward_raw(phi.grid, phi.values))
         )
-    l0 = choose_l0(k, t, alpha)
+    windows = _annulus_windows(amp, k, t, x, alpha, bump)
     band = _intersect(_annulus_intervals(k), amp.support)
-    if not band:
-        return [("center", 0.0)]
-    scale = min(8.0 * amp.xi_spacing, 2.0**k / 8.0)
-    out = []
-
-    def window_center(xi):
-        return amp(xi) * bump.dyadic_piece(xi, k) * bump((xi - xi0) / 2.0**l0)
-
-    center_band = _intersect(
-        band, [(xi0 - 2.0 ** (l0 + 1), xi0 + 2.0 ** (l0 + 1))]
-    )
-    val = oscillatory_integral(window_center, center_band, t, x, alpha,
-                               amp_scale=min(scale, 2.0**l0 / 4.0)) \
-        if center_band else 0.0j
-    out.append(("center", abs(val) / (2.0 * np.pi)))
-    reach = 2.0 ** (k + 1) + abs(xi0)
-    l = l0 + 1
-    while 2.0 ** (l - 1) <= reach:
-        shifted = [(xi0 + a, xi0 + b) for (a, b) in _annulus_intervals(l)]
-        pieces = _intersect(band, shifted)
-        if pieces:
-            def window_l(xi, _l=l):
-                return amp(xi) * bump.dyadic_piece(xi, k) * bump.dyadic_piece(xi - xi0, _l)
-
-            val = oscillatory_integral(window_l, pieces, t, x, alpha,
-                                       amp_scale=min(scale, 2.0**l / 4.0))
-            out.append((l, abs(val) / (2.0 * np.pi)))
-        l += 1
-    return out
+    vals = _integrate_windows(amp, band, windows, t, x, alpha)
+    return [(label, abs(vals[label]) / (2.0 * np.pi)) for label, *_ in windows]
 
 
 @dataclass(frozen=True)
@@ -329,27 +380,27 @@ def trace_terms(phi: SampledFunction, t: float, x: float, alpha: float = 0.5,
     k_lo = min(active)
 
     scale8 = 8.0 * amp.xi_spacing
-    pieces_c = {}
-    for k in active:
-        def piece_amp(xi, _k=k):
-            return amp(xi) * bump.dyadic_piece(xi, _k)
+    windows = [
+        (k, _intersect(_annulus_intervals(k), amp.support),
+         functools.partial(bump.dyadic_piece, k=k), min(scale8, 2.0**k / 8.0))
+        for k in active
+    ]
 
-        band = _intersect(_annulus_intervals(k), amp.support)
-        val = oscillatory_integral(
-            piece_amp, band, t, x, alpha,
-            amp_scale=min(scale8, 2.0**k / 8.0),
-        ) if band else 0.0j
-        pieces_c[k] = val / (2.0 * np.pi)
-
-    def low_amp(xi):
-        return amp(xi) * bump(xi / 2.0 ** (k_lo - 1))
+    def low_weight(xi):
+        return bump(xi / 2.0 ** (k_lo - 1))
 
     low_band = _intersect([(-(2.0**k_lo), 0.0 - amp.xi_spacing * 0.25),
                            (amp.xi_spacing * 0.25, 2.0**k_lo)], amp.support)
-    low_c = oscillatory_integral(low_amp, low_band, t, x, alpha,
-                                 amp_scale=min(scale8, 2.0**k_lo / 8.0)) / (2.0 * np.pi) \
-        if low_band else 0.0j
+    windows.append(("low", low_band, low_weight, min(scale8, 2.0**k_lo / 8.0)))
+    annulus_ks = [k for k in part.I2 if k in active] if with_annuli and not part.flagged else []
+    stationary = {k: _annulus_windows(amp, k, t, x, alpha, bump) for k in annulus_ks}
+    for k, annulus_windows in stationary.items():
+        windows += [((k, label), *rest) for label, *rest in annulus_windows]
+    vals = _integrate_windows(amp, amp.support, windows, t, x, alpha)
+    pieces_c = {k: vals[k] / (2.0 * np.pi) for k in active}
+    low_c = vals["low"] / (2.0 * np.pi)
 
+    # the full integral on its own panel set, so the defect compares two quadratures
     u_val = oscillatory_integral(amp, amp.support, t, x, alpha,
                                  amp_scale=scale8) / (2.0 * np.pi)
     recon = low_c + sum(pieces_c.values())
@@ -380,20 +431,16 @@ def trace_terms(phi: SampledFunction, t: float, x: float, alpha: float = 0.5,
     ratio_C = term_C / ((1.0 + at) ** -0.5 * h1) if h1 > 0 else 0.0
 
     l0s, q0s, annuli = {}, {}, {}
-    if with_annuli and not part.flagged:
-        for k in part.I2:
-            if k not in active:
+    for k in annulus_ks:
+        l0s[k] = choose_l0(k, t, alpha)
+        annuli[k] = [(label, abs(vals[(k, label)]) / (2.0 * np.pi))
+                     for label, *_ in stationary[k]]
+        for (l, _m) in annuli[k]:
+            if l == "center":
                 continue
-            l0s[k] = choose_l0(k, t, alpha)
-            annuli[k] = annulus_decomposition(
-                phi, k, t, x, alpha, bump=bump, amp=amp, margin=margin
-            )
-            for (l, _m) in annuli[k]:
-                if l == "center":
-                    continue
-                est = q0_estimate(k, l, t, x, alpha, margin)
-                if est is not None:
-                    q0s[(k, l)] = est
+            est = q0_estimate(k, l, t, x, alpha, margin)
+            if est is not None:
+                q0s[(k, l)] = est
 
     return ProofTrace(
         partition=part, u_value=u_val, reconstruction_defect=defect,

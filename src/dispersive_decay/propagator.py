@@ -8,7 +8,9 @@ Two backends:
 * ``evolve_quadrature`` integrates the inversion integral directly at
   arbitrary points with adaptive Gauss panels, making no periodicity
   assumption.  Panel refinement is driven by the local phase increment; the
-  integrand is otherwise smooth, so oscillation is the only difficulty.
+  integrand is otherwise smooth, so oscillation is the only difficulty.  One
+  panel set can serve several windowed integrals of the same amplitude
+  (``_windowed_integrals``); ``oscillatory_integral`` is its one-window case.
 
 Both agree on band-limited data inside the guard, and that agreement is one of
 the headline cross-checks of the harness.
@@ -150,6 +152,7 @@ def evolve_spectral(phi: SampledFunction, t: float, alpha: float = 0.5) -> Sampl
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _COARSE_CHUNKS = 64
 _EVAL_BLOCK = 1 << 18  # panels per evaluation block, to bound peak memory
+_NODE_CHUNK = 1 << 14  # nodes per amplitude or weight evaluation, for the same reason
 
 
 class SpectralAmplitude:
@@ -207,19 +210,17 @@ def _subdivide(a: float, b: float, t: float, x: float, alpha: float,
     return starts, sub_w
 
 
-def oscillatory_integral(amp, intervals, t: float, x: float, alpha: float,
-                         amp_scale: float, max_phase: float = np.pi / 4.0,
-                         budget: int = 1 << 23):
-    """int amp(xi) exp(i (x xi + t |xi|^alpha)) dxi over the given intervals.
+def _panels(intervals, t: float, x: float, alpha: float, amp_scale: float,
+            max_phase: float, budget: int):
+    """Gauss panel starts/widths over the intervals, each split at xi0, in ascending order.
 
-    ``amp`` is any callable returning complex values; ``amp_scale`` caps the
-    panel width so that the 8-point Gauss rule also resolves the amplitude.
+    Raises AccuracyNotMetError once the panel count passes ``budget``.
     """
     if amp_scale <= 0:
         raise ParameterError("amp_scale must be positive")
     all_starts, all_widths = [], []
     total = 0
-    for (a, b) in intervals:
+    for (a, b) in sorted(intervals):
         if b <= a:
             continue
         if a < 0 < b:
@@ -240,20 +241,70 @@ def oscillatory_integral(amp, intervals, t: float, x: float, alpha: float,
             all_starts.append(starts)
             all_widths.append(widths)
     if not all_starts:
-        return 0.0 + 0.0j
-    starts = np.concatenate(all_starts)
-    widths = np.concatenate(all_widths)
-    acc = 0.0 + 0.0j
+        return np.empty(0), np.empty(0)
+    return np.concatenate(all_starts), np.concatenate(all_widths)
+
+
+def _node_ranges(nodes: np.ndarray, intervals) -> list:
+    """Index range of the sorted nodes inside each interval; all nodes for None."""
+    if intervals is None:
+        return [(0, nodes.size)]
+    return [(int(np.searchsorted(nodes, a)), int(np.searchsorted(nodes, b, "right")))
+            for (a, b) in intervals]
+
+
+def _windowed_integrals(amp, intervals, windows, t: float, x: float, alpha: float,
+                        amp_scale: float, max_phase: float = np.pi / 4.0,
+                        budget: int = 1 << 23) -> list:
+    """int amp(xi) w(xi) exp(i (x xi + t |xi|^alpha)) dxi for each window, from one panel set.
+
+    The panels cover ``intervals`` (split at the stationary point) and are
+    taken a block of at most ``_EVAL_BLOCK`` panels at a time; amp and exp(iQ)
+    are evaluated once per node, and they and the window weights on at most
+    ``_NODE_CHUNK`` nodes at a time.  Each window is (window intervals, w): it
+    sums the weighted integrand over the nodes inside its intervals, or over
+    every node when they are None; a weight of None is 1.  The window
+    intervals must end at panel edges or where w vanishes, and the panel
+    intervals must not overlap when a window names intervals.
+    """
+    starts, widths = _panels(intervals, t, x, alpha, amp_scale, max_phase, budget)
+    acc = [0.0 + 0.0j] * len(windows)
     for i in range(0, starts.size, _EVAL_BLOCK):
         s = starts[i : i + _EVAL_BLOCK]
         w = widths[i : i + _EVAL_BLOCK]
         half = 0.5 * w
-        nodes = (s + half)[:, None] + half[:, None] * _GL_NODES
-        flat = nodes.ravel()
-        vals = np.asarray(amp(flat), dtype=np.complex128)
-        vals = vals * np.exp(1j * (x * flat + t * np.abs(flat) ** alpha))
-        acc += np.sum(vals.reshape(nodes.shape) * (_GL_WEIGHTS * half[:, None]))
-    return complex(acc)
+        flat = ((s + half)[:, None] + half[:, None] * _GL_NODES).ravel()
+        gauss = (_GL_WEIGHTS * half[:, None]).ravel()
+        integrand = np.empty(flat.size, dtype=np.complex128)
+        for c in range(0, flat.size, _NODE_CHUNK):
+            xi = flat[c : c + _NODE_CHUNK]
+            # keep the factor order: numpy can round a complex product
+            # differently with its operands swapped
+            part = np.exp(1j * (x * xi + t * np.abs(xi) ** alpha))
+            part *= amp(xi)
+            part *= gauss[c : c + _NODE_CHUNK]
+            integrand[c : c + _NODE_CHUNK] = part
+        for j, (window, weight) in enumerate(windows):
+            for lo, hi in _node_ranges(flat, window):
+                if weight is None:
+                    acc[j] += np.sum(integrand[lo:hi])
+                else:
+                    for c in range(lo, hi, _NODE_CHUNK):
+                        end = min(c + _NODE_CHUNK, hi)
+                        acc[j] += np.sum(integrand[c:end] * weight(flat[c:end]))
+    return [complex(a) for a in acc]
+
+
+def oscillatory_integral(amp, intervals, t: float, x: float, alpha: float,
+                         amp_scale: float, max_phase: float = np.pi / 4.0,
+                         budget: int = 1 << 23):
+    """int amp(xi) exp(i (x xi + t |xi|^alpha)) dxi over the given intervals.
+
+    ``amp`` is any callable returning complex values; ``amp_scale`` caps the
+    panel width so that the 8-point Gauss rule also resolves the amplitude.
+    """
+    return _windowed_integrals(amp, intervals, [(None, None)], t, x, alpha,
+                               amp_scale, max_phase, budget)[0]
 
 
 def evolve_quadrature(phi_hat: SpectralFunction, t: float, x_points, alpha: float = 0.5,

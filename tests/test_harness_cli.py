@@ -357,3 +357,13 @@ class TestCli:
         assert code == 0
         rows = read_csv_rows(out)
         assert any(r["section"] == "piece" for r in rows)
+        assert "\npinned: none\n" in capsys.readouterr().out
+
+    def test_trace_proof_gated_on_pins(self, monkeypatch, capsys):
+        # seed 0 at the default band, grid and t = 2^12 is a ray of the suite
+        # the trace pins were measured on
+        assert main(["trace-proof"]) == 0
+        assert "\npinned: A <= " in capsys.readouterr().out
+        monkeypatch.setitem(pins.TRACE_RATIO_MAXIMA, "C", 0.1)
+        assert main(["trace-proof"]) == 1
+        assert "bound ratio C" in capsys.readouterr().err

@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from dispersive_decay.errors import DomainTooSmallError, ParameterError
+from dispersive_decay import propagator, proof_tracer
+from dispersive_decay.errors import AccuracyNotMetError, DomainTooSmallError, ParameterError
 from dispersive_decay.grid import GridSpec, SampledFunction, SpectralFunction, forward_ft, inverse_ft
+from dispersive_decay.harness import _dominant_speed
+from dispersive_decay.littlewood_paley import make_bump
 from dispersive_decay.proof_tracer import (
+    _annulus_intervals,
+    _intersect,
+    _min_abs_dq,
     build_partition,
     annulus_decomposition,
     choose_l0,
@@ -16,7 +22,9 @@ from dispersive_decay.proof_tracer import (
     trace_terms,
 )
 from dispersive_decay.propagator import (
+    PhaseSpec,
     SpectralAmplitude,
+    _windowed_integrals,
     evolve_spectral,
     oscillatory_integral,
     stationary_point,
@@ -122,6 +130,50 @@ class TestKernelLowerBound:
         assert 0 in part.I2 and 0 not in part.I1 and 0 not in part.I3
         with pytest.raises(ParameterError):
             kernel_lower_bound(0, 2048.0, -2048.0)
+
+
+class TestMinAbsDq:
+    """The endpoint minimum of |x + t Phi'| against the dense sampling it replaced."""
+
+    @staticmethod
+    def dense(intervals, t, x, alpha):
+        spec = PhaseSpec(alpha=alpha, t=t, x=x)
+        return min(float(np.min(np.abs(spec.dq(np.linspace(a, b, 1 << 14)))))
+                   for a, b in intervals)
+
+    def test_q0_sweep_matches_dense_reference(self):
+        checked = 0
+        for alpha in (0.4, 0.5):
+            for t in (2048.0, 16384.0):
+                for k in range(-4, 11, 2):
+                    for factor in (0.5, 1.0, 2.0):
+                        x = -t / (factor * 2.0 ** (k * (1.0 - alpha)))
+                        xi0 = stationary_point(t, x, alpha)
+                        l0 = choose_l0(k, t, alpha)
+                        for l in range(l0 + 1, l0 + 9):
+                            est = q0_estimate(k, l, t, x, alpha)
+                            if est is None:
+                                continue
+                            shifted = [(xi0 + a, xi0 + b) for a, b in _annulus_intervals(l)]
+                            pieces = _intersect(_annulus_intervals(k), shifted)
+                            assert est.value == self.dense(pieces, t, x, alpha)
+                            checked += 1
+        assert checked > 300
+
+    def test_kernel_sweep_matches_dense_reference(self):
+        for t in (2048.0, 16384.0):
+            for k in range(-4, 11, 2):
+                for factor in (64.0, 1.0 / 64.0):
+                    x = -t / (factor * 2.0 ** (k / 2.0))
+                    res = kernel_lower_bound(k, t, x)
+                    ref = self.dense(_annulus_intervals(k), t / abs(t), x / abs(t), 0.5)
+                    assert res.value == ref
+
+    def test_interval_holding_xi0_refused(self):
+        t, x = 4096.0, -64.0
+        xi0 = stationary_point(t, x, 0.5)
+        with pytest.raises(ParameterError):
+            _min_abs_dq([(xi0 / 2.0, 2.0 * xi0)], t, x, 0.5)
 
 
 class TestQ0Estimate:
@@ -278,3 +330,127 @@ class TestOccupiedSpectrum:
         assert 1 not in expected
         trace = trace_terms(phi, 64.0, -10.0, with_annuli=False)
         assert sorted(trace.piece_mags) == expected
+
+
+class TestTraceEngine:
+    """The shared panel pass of trace_terms against one quadrature per window."""
+
+    T = 2048.0
+    X = -T * 0.5 / np.sqrt(2.0)
+
+    @pytest.fixture(scope="class")
+    def phi(self):
+        return generate_schwartz(0, 0, (0.5, 16.0), GRID)
+
+    @staticmethod
+    def magnitudes(trace):
+        out = {"u": abs(trace.u_value), "low": trace.low_mag}
+        out.update({("piece", k): m for k, m in trace.piece_mags.items()})
+        out.update({(k, l): m for k, ann in trace.annuli.items() for l, m in ann})
+        return out
+
+    @pytest.mark.parametrize("seed, band, t", [(0, (0.5, 16.0), 2048.0),
+                                               (39, (0.5, 8.0), 4096.0)])
+    def test_matches_per_window_quadrature(self, seed, band, t):
+        # the second case is a trace-proof point whose centre windows need
+        # panels as fine as a quadrature of their own
+        phi = generate_schwartz(seed, 0, band, GRID)
+        x = -t * _dominant_speed(phi, 0.5) if seed else self.X
+        trace = trace_terms(phi, t, x)
+        assert trace.annuli
+        amp = SpectralAmplitude(forward_ft(phi))
+        bump = make_bump()
+        scale8 = 8.0 * amp.xi_spacing
+
+        def integral(weight, intervals, cap):
+            if not intervals:
+                return 0.0j
+            return oscillatory_integral(lambda xi: amp(xi) * weight(xi), intervals,
+                                        t, x, 0.5, amp_scale=cap)
+
+        for k, mag in trace.piece_mags.items():
+            band = _intersect(_annulus_intervals(k), amp.support)
+            val = integral(lambda xi: bump.dyadic_piece(xi, k), band,
+                           min(scale8, 2.0 ** k / 8.0))
+            assert abs(abs(val) / (2 * np.pi) - mag) < 1e-11
+        k_lo = min(trace.piece_mags)
+        d = amp.xi_spacing
+        low_band = _intersect([(-(2.0 ** k_lo), -0.25 * d), (0.25 * d, 2.0 ** k_lo)],
+                              amp.support)
+        val = integral(lambda xi: bump(xi / 2.0 ** (k_lo - 1)), low_band,
+                       min(scale8, 2.0 ** k_lo / 8.0))
+        assert abs(abs(val) / (2 * np.pi) - trace.low_mag) < 1e-11
+
+        xi0 = stationary_point(t, x, 0.5)
+        for k, ann in trace.annuli.items():
+            l0 = choose_l0(k, t, 0.5)
+            band = _intersect(_annulus_intervals(k), amp.support)
+            scale = min(scale8, 2.0 ** k / 8.0)
+            center = _intersect(band, [(xi0 - 2.0 ** (l0 + 1), xi0 + 2.0 ** (l0 + 1))])
+            expected = [("center", integral(
+                lambda xi: bump.dyadic_piece(xi, k) * bump((xi - xi0) / 2.0 ** l0),
+                center, min(scale, 2.0 ** l0 / 4.0)))]
+            l = l0 + 1
+            while 2.0 ** (l - 1) <= 2.0 ** (k + 1) + abs(xi0):
+                pieces = _intersect(band, [(xi0 + a, xi0 + b)
+                                           for a, b in _annulus_intervals(l)])
+                if pieces:
+                    expected.append((l, integral(
+                        lambda xi: bump.dyadic_piece(xi, k) * bump.dyadic_piece(xi - xi0, l),
+                        pieces, min(scale, 2.0 ** l / 4.0))))
+                l += 1
+            alone = annulus_decomposition(phi, k, t, x)
+            assert [lab for lab, _ in ann] == [lab for lab, _ in expected]
+            assert [lab for lab, _ in alone] == [lab for lab, _ in expected]
+            for (_, m), (_, m_alone), (_, val) in zip(ann, alone, expected):
+                assert abs(m - abs(val) / (2 * np.pi)) < 1e-11
+                assert abs(m_alone - abs(val) / (2 * np.pi)) < 1e-11
+
+    def test_full_integral_has_its_own_panels(self, phi, monkeypatch):
+        # the reconstruction defect must compare two quadratures, not restate
+        # the partition of unity on one panel set
+        starts = {True: [], False: []}
+        inside = [False]
+        subdivide, full_integral = propagator._subdivide, proof_tracer.oscillatory_integral
+
+        def spy_subdivide(*args):
+            out = subdivide(*args)
+            starts[inside[0]].append(out[0])
+            return out
+
+        def spy_full(*args, **kwargs):
+            inside[0] = True
+            try:
+                return full_integral(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(propagator, "_subdivide", spy_subdivide)
+        monkeypatch.setattr(proof_tracer, "oscillatory_integral", spy_full)
+        trace = trace_terms(phi, self.T, self.X)
+        full, shared = np.concatenate(starts[True]), np.concatenate(starts[False])
+        assert full.size > 1000 and shared.size > 1000
+        assert np.intersect1d(full, shared).size < 0.01 * shared.size
+        assert 0.0 < trace.reconstruction_defect < 1e-8
+
+    def test_block_size_does_not_matter(self, phi, monkeypatch):
+        # odd blocks of 97 panels and chunks of 101 nodes put window edges
+        # inside both; the sums only regroup, so they agree to rounding of the
+        # integrand's mass
+        ref = self.magnitudes(trace_terms(phi, self.T, self.X))
+        monkeypatch.setattr(propagator, "_EVAL_BLOCK", 97)
+        monkeypatch.setattr(propagator, "_NODE_CHUNK", 101)
+        got = self.magnitudes(trace_terms(phi, self.T, self.X))
+        mass = np.sum(np.abs(forward_ft(phi).values)) * GRID.xi_spacing / (2 * np.pi)
+        assert got.keys() == ref.keys()
+        for key, value in ref.items():
+            assert abs(got[key] - value) <= 1e-15 * mass
+
+    def test_panel_budget(self, phi):
+        amp = SpectralAmplitude(forward_ft(phi))
+        windows = [(None, None), (amp.support, lambda xi: np.ones_like(xi))]
+        _windowed_integrals(amp, amp.support, windows, self.T, self.X, 0.5,
+                            amp_scale=0.1, budget=1 << 20)
+        with pytest.raises(AccuracyNotMetError):
+            _windowed_integrals(amp, amp.support, windows, self.T, self.X, 0.5,
+                                amp_scale=0.1, budget=100)
