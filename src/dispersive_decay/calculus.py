@@ -24,7 +24,6 @@ from .grid import (
     SampledFunction,
     _check_finite,
     _edge_exceeds,
-    _forward_raw,
     _inverse_raw,
     l2_norm_physical,
     trapezoid_weights,
@@ -69,7 +68,7 @@ def fractional_derivative(f: SampledFunction, s: float) -> SampledFunction:
         raise ParameterError("order s must be > -1")
     if s == 0:
         return f
-    hat = _forward_raw(f.grid, f.values)
+    hat = f.spectrum.values
     xi = f.grid.xi
     zero = xi == 0.0
     mult = np.zeros_like(xi)
@@ -89,7 +88,7 @@ def fractional_derivative(f: SampledFunction, s: float) -> SampledFunction:
 
 def spectral_derivative(f: SampledFunction, order: int = 1) -> SampledFunction:
     """d/dx via the multiplier (i xi)^order."""
-    hat = _forward_raw(f.grid, f.values)
+    hat = f.spectrum.values
     return SampledFunction(
         f.grid, _inverse_raw(f.grid, (1j * f.grid.xi) ** order * hat), f.band_limit
     )
@@ -107,7 +106,7 @@ def lp_norm(f: SampledFunction, p) -> float:
 
 def hs_norm(f: SampledFunction, s: float) -> float:
     """Sobolev norm ||(1+|xi|^2)^{s/2} fhat||_{L^2_xi} / sqrt(2pi)."""
-    hat = _forward_raw(f.grid, f.values)
+    hat = f.spectrum.values
     w = trapezoid_weights(f.grid.size, f.grid.xi_spacing)
     weight = (1.0 + f.grid.xi**2) ** s
     return float(np.sqrt(np.sum(w * weight * np.abs(hat) ** 2) / (2.0 * np.pi)))

@@ -25,8 +25,9 @@ import numpy as np
 
 from .errors import BoundaryDecayWarning, InvalidInputError
 
-# spectral samples at or below this fraction of the peak magnitude count as
-# unoccupied: round-off of the transform, not content of the function
+# spectral samples (and, for the quadrature sup scan, physical ones) at or
+# below this fraction of the peak magnitude count as unoccupied: round-off of
+# the transform, not content of the function
 _SUPPORT_RTOL = 1e-13
 
 __all__ = [
@@ -141,6 +142,15 @@ class SampledFunction:
     def with_values(self, values) -> "SampledFunction":
         return SampledFunction(self.grid, values, self.band_limit)
 
+    @functools.cached_property
+    def spectrum(self) -> "SpectralFunction":
+        """The raw transform of the samples, formed once per sample.
+
+        ``values`` is read-only, so it cannot go stale. Unlike ``forward_ft``
+        it neither checks the input nor warns.
+        """
+        return SpectralFunction(self.grid, _forward_raw(self.grid, self.values))
+
 
 @dataclass(frozen=True)
 class SpectralFunction:
@@ -239,7 +249,7 @@ def forward_ft(f: SampledFunction) -> SpectralFunction:
         )
         warnings.warn(msg, BoundaryDecayWarning, stacklevel=2)
         notes = (msg,)
-    return SpectralFunction(f.grid, _forward_raw(f.grid, f.values), notes=notes)
+    return SpectralFunction(f.grid, f.spectrum.values, notes=notes)
 
 
 def inverse_ft(F: SpectralFunction) -> SampledFunction:

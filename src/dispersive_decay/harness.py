@@ -25,7 +25,7 @@ from .errors import (
     SuiteDegenerateError,
     UndefinedRatioError,
 )
-from .grid import GridSpec, SampledFunction, SpectralFunction, _forward_raw
+from .grid import _SUPPORT_RTOL, GridSpec, SampledFunction
 from .littlewood_paley import _lemma_denominator, _Piece, make_bump, resolvable_k
 from .propagator import evolve_quadrature, evolve_spectral, phase_speed
 from .proof_tracer import choose_l0, kernel_lower_bound, q0_estimate, trace_terms
@@ -94,17 +94,19 @@ class DecayReport:
 
 
 def _quadrature_sup(phi: SampledFunction, t: float, alpha: float,
-                    n_coarse: int = 192, refine_rounds: int = 2):
+                    n_coarse: int = 192, refine_rounds: int = 3):
     """Sup over x of |u(t, x)| via the quadrature backend.
 
     Coarse scan of the causal interval followed by local refinement near the
     top candidates: the maximum rides the stationary ray, and a single local
-    search can miss competing lobes.
+    search can miss competing lobes.  The causal interval is the extent of phi
+    (|phi| above 1e-13 of its peak) widened by |t| times the fastest group speed.
     """
-    hat = SpectralFunction(phi.grid, _forward_raw(phi.grid, phi.values))
-    v_max = phase_speed(hat.occupied_band()[0], alpha)
-    spread = 15.0  # initial packet extent: |x0| <= 10 plus Gaussian tails
-    lo, hi = -abs(t) * v_max - spread, abs(t) * v_max + spread
+    hat = phi.spectrum
+    reach = abs(t) * phase_speed(hat.occupied_band()[0], alpha)
+    mag = np.abs(phi.values)
+    extent = phi.grid.x[mag > _SUPPORT_RTOL * np.max(mag)]
+    lo, hi = float(extent[0]) - reach, float(extent[-1]) + reach
     xs = np.linspace(lo, hi, n_coarse)
     vals = np.abs(evolve_quadrature(hat, t, xs, alpha))
     width = (hi - lo) / (n_coarse - 1)
@@ -134,7 +136,7 @@ def run_decay(config: SuiteConfig) -> list:
     reports = []
     for i in range(config.n_samples):
         phi = generate_schwartz(config.seed, i, config.band, grid)
-        if SpectralFunction(grid, _forward_raw(grid, phi.values)).occupied_band() is None:
+        if phi.spectrum.occupied_band() is None:
             raise SuiteDegenerateError(
                 f"sample {i}: band {config.band} holds no occupied frequency of the "
                 f"grid (xi spacing {grid.xi_spacing:g})"
@@ -227,10 +229,9 @@ def run_lemma_suites(config: SuiteConfig, grid: GridSpec | None = None,
     undefined = dict.fromkeys(row_names, 0)
     for i in range(config.n_samples):
         f = schwartz_sample(grid, config.seed, i)
-        hat = _forward_raw(grid, f.values)
         denom = _lemma_denominator(f)
         for k in usable:
-            piece = _Piece(f, k, bump, hat)
+            piece = _Piece(f, k, bump)
             for name in row_names:
                 try:
                     values[name].append(_ROW_RATIOS[name](piece, denom))
@@ -265,8 +266,7 @@ def run_bernstein_suite(config: SuiteConfig, grid: GridSpec | None = None) -> li
 
 def _dominant_speed(phi: SampledFunction, alpha: float) -> float:
     """Group speed |Phi'| at the spectral peak of phi; x = -t * speed is its dominant ray."""
-    hat = _forward_raw(phi.grid, phi.values)
-    peak_xi = abs(float(phi.grid.xi[int(np.argmax(np.abs(hat)))]))
+    peak_xi = abs(float(phi.grid.xi[int(np.argmax(np.abs(phi.spectrum.values)))]))
     return phase_speed(peak_xi, alpha)
 
 

@@ -13,8 +13,8 @@ suites record the empirical maxima as regression-pinned constants.  All of them
 are functionals of one dyadic piece and are computed by ``_Piece``, which holds
 the Nyquist guard and the zero-piece test, forms psi_k fhat once on the grid's
 cached xi axis and adds at most three transforms (P_k f, |D|^s P_k f and the
-transform of -i x P_k f).  The suites pass each sample's spectrum in, so a
-sample is transformed once for all its pieces and rows.
+transform of -i x P_k f).  Every piece reads the sample's cached spectrum, so
+a sample is transformed once for all its pieces and rows.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def _require_in_band(grid: GridSpec, k: int):
 def project(f: SampledFunction, k: int, bump: BumpFunction = _DEFAULT_BUMP) -> SampledFunction:
     """The Littlewood-Paley piece P_k f, back on the physical side."""
     _require_in_band(f.grid, k)
-    piece = bump.dyadic_piece(f.grid.xi, k) * _forward_raw(f.grid, f.values)
+    piece = bump.dyadic_piece(f.grid.xi, k) * f.spectrum.values
     return SampledFunction(
         f.grid, _inverse_raw(f.grid, piece), band_limit=min(2.0 ** (k + 1), f.grid.nyquist * 0.999)
     )
@@ -115,17 +115,16 @@ class _Piece:
     """The dyadic piece psi_k fhat of one sample, and every ratio built from it.
 
     The Nyquist guard runs on construction. psi_k * fhat is formed once, from
-    the sample's spectrum ``hat`` when the caller already holds it; P_k f is
-    inverted on first use and kept, so the Bernstein and lemma ratios of one
-    (sample, k) share it. Each ratio adds at most one transform of its own.
+    the sample's cached spectrum; P_k f is inverted on first use and kept, so
+    the Bernstein and lemma ratios of one (sample, k) share it. Each ratio
+    adds at most one transform of its own.
     """
 
-    def __init__(self, f: SampledFunction, k: int, bump: BumpFunction,
-                 hat: np.ndarray | None = None):
+    def __init__(self, f: SampledFunction, k: int, bump: BumpFunction):
         _require_in_band(f.grid, k)
         self.grid = f.grid
         self.k = k
-        self.hat = _forward_raw(f.grid, f.values) if hat is None else hat
+        self.hat = f.spectrum.values
         self.piece_hat = bump.dyadic_piece(f.grid.xi, k) * self.hat
 
     @cached_property

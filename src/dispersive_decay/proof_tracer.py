@@ -28,7 +28,7 @@ import numpy as np
 
 from .calculus import hs_norm, weighted_norm
 from .errors import ParameterError
-from .grid import SampledFunction, SpectralFunction, _forward_raw, l2_norm_physical
+from .grid import SampledFunction, l2_norm_physical
 from .littlewood_paley import BumpFunction, make_bump
 from .propagator import (
     SpectralAmplitude,
@@ -296,8 +296,7 @@ def _integrate_windows(amp: SpectralAmplitude, intervals, windows, t: float, x: 
 
 def annulus_decomposition(phi: SampledFunction, k: int, t: float, x: float,
                           alpha: float = 0.5, bump: BumpFunction = _DEFAULT_BUMP,
-                          amp: SpectralAmplitude | None = None,
-                          margin: float = 16.0) -> list:
+                          amp: SpectralAmplitude | None = None) -> list:
     """Stationary-phase splitting of the band-k oscillatory integral.
 
     Returns [("center", magnitude), (l0+1, magnitude), ...]: the piece within
@@ -311,9 +310,7 @@ def annulus_decomposition(phi: SampledFunction, k: int, t: float, x: float,
     if stationary_point(t, x, alpha) is None:
         raise ParameterError("no stationary point: annulus decomposition undefined")
     if amp is None:
-        amp = SpectralAmplitude(
-            SpectralFunction(phi.grid, _forward_raw(phi.grid, phi.values))
-        )
+        amp = SpectralAmplitude(phi.spectrum)
     windows = _annulus_windows(amp, k, t, x, alpha, bump)
     band = _intersect(_annulus_intervals(k), amp.support)
     vals = _integrate_windows(amp, band, windows, t, x, alpha)
@@ -357,8 +354,7 @@ def trace_terms(phi: SampledFunction, t: float, x: float, alpha: float = 0.5,
     if t == 0.0:
         raise ParameterError("t must be nonzero")
     part = build_partition(t, x, alpha, margin)
-    F = SpectralFunction(phi.grid, _forward_raw(phi.grid, phi.values))
-    amp = SpectralAmplitude(F)
+    amp = SpectralAmplitude(phi.spectrum)
     if not amp.support:
         zero = BoundedValue(0.0, 0.0)
         return ProofTrace(
@@ -368,7 +364,7 @@ def trace_terms(phi: SampledFunction, t: float, x: float, alpha: float = 0.5,
             ratio_A=zero.ratio, ratio_B1=0.0, ratio_B2=0.0, ratio_B3=0.0,
             ratio_C=0.0, s_choice=(2.0 - alpha) / 2.0,
         )
-    occupied_xi = np.abs(phi.grid.xi[F.occupied])
+    occupied_xi = np.abs(phi.grid.xi[phi.spectrum.occupied])
     active = []
     for k in _K_SCAN:
         if 2.0 ** (k + 1) > phi.grid.nyquist:

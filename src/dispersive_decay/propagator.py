@@ -2,9 +2,10 @@
 
 Two backends:
 
-* ``evolve_spectral`` multiplies by the unimodular factor on the frequency
-  grid.  Fast and exactly unitary, but periodic: a wrap-around guard rejects
-  evolutions whose fastest group speed would carry mass more than 0.4 L.
+* ``evolve_spectral`` multiplies the sample's cached spectrum by the
+  unimodular factor on the frequency grid.  Fast and exactly unitary, but
+  periodic: a wrap-around guard, checked at every t, rejects evolutions
+  whose fastest group speed would carry mass more than 0.4 L.
 * ``evolve_quadrature`` integrates the inversion integral directly at
   arbitrary points with adaptive Gauss panels, making no periodicity
   assumption.  Panel refinement is driven by the local phase increment; the
@@ -18,6 +19,7 @@ the headline cross-checks of the harness.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -32,10 +34,10 @@ from .errors import (
     UndefinedRatioError,
 )
 from .grid import (
+    GridSpec,
     SampledFunction,
     SpectralFunction,
     _check_finite,
-    _forward_raw,
     _inverse_raw,
     l2_norm_physical,
 )
@@ -64,6 +66,14 @@ def _dphi(xi, alpha):
 
 def _d2phi(xi, alpha):
     return alpha * (alpha - 1.0) * np.abs(xi) ** (alpha - 2.0)
+
+
+@functools.lru_cache(maxsize=1)
+def _phase(grid: GridSpec, alpha: float) -> np.ndarray:
+    """|xi|^alpha on the grid's xi axis, kept read-only for one (L, N, alpha) at a time."""
+    phase = _phi(grid.xi, alpha)
+    phase.flags.writeable = False
+    return phase
 
 
 def phase_speed(xi, alpha):
@@ -127,8 +137,8 @@ def evolve_spectral(phi: SampledFunction, t: float, alpha: float = 0.5) -> Sampl
         raise ParameterError("alpha must lie in (0, 1)")
     if t == 0.0:
         return phi
-    hat = _forward_raw(phi.grid, phi.values)
-    band = SpectralFunction(phi.grid, hat).occupied_band()
+    hat = phi.spectrum.values
+    band = phi.spectrum.occupied_band()
     if band is not None:
         # low frequencies travel arbitrarily fast for alpha < 1; the occupied
         # band never includes xi = 0 itself, so the speed below is finite
@@ -141,7 +151,7 @@ def evolve_spectral(phi: SampledFunction, t: float, alpha: float = 0.5) -> Sampl
                 f"{_WRAP_FRACTION * phi.grid.half_width:g}; enlarge the domain",
                 min_half_width=travel / _WRAP_FRACTION,
             )
-    mult = np.exp(1j * t * _phi(phi.grid.xi, alpha))
+    mult = np.exp(1j * t * _phase(phi.grid, alpha))
     return SampledFunction(phi.grid, _inverse_raw(phi.grid, mult * hat), phi.band_limit)
 
 

@@ -7,16 +7,25 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_hermite
 
+from dispersive_decay import grid as grid_module
+from dispersive_decay.calculus import (
+    fractional_derivative,
+    hs_norm,
+    spectral_derivative,
+    weighted_norm,
+)
 from dispersive_decay.errors import BoundaryDecayWarning, InvalidInputError
 from dispersive_decay.grid import (
     GridSpec,
     SampledFunction,
     SpectralFunction,
+    _forward_raw,
     forward_ft,
     inverse_ft,
     plancherel_defect,
     trapezoid_weights,
 )
+from dispersive_decay.propagator import evolve_spectral
 
 from conftest import gaussian
 
@@ -96,6 +105,38 @@ class TestOccupiedBand:
         F = self.spectrum([0, 4])
         assert F.occupied_band(-1) is None
         assert F.occupied_band() == (4.0, 4.0)
+
+
+class TestSpectrum:
+    """SampledFunction.spectrum: the one raw transform of a sample."""
+
+    def test_formed_once_read_only_bit_equal(self, grid40, monkeypatch):
+        f = gaussian(grid40, x0=1.0, b=2.0)
+        calls = []
+
+        def spy(grid, values):
+            calls.append(values)
+            return _forward_raw(grid, values)
+
+        monkeypatch.setattr(grid_module, "_forward_raw", spy)
+        F = f.spectrum
+        assert f.spectrum is F
+        for s in (1.0, 0.75):
+            hs_norm(f, s)
+        spectral_derivative(f)
+        fractional_derivative(f, 0.5)
+        weighted_norm(f)
+        forward_ft(f)
+        evolve_spectral(f, 1.0, 0.5)
+        assert len(calls) == 1 and calls[0] is f.values
+        assert not F.values.flags.writeable
+        assert F.values.tobytes() == _forward_raw(grid40, f.values).tobytes()
+
+    def test_own_spectrum_per_sample(self, grid40):
+        f = gaussian(grid40, b=2.0)
+        for g in (f.with_values(2.0 * f.values), evolve_spectral(f, 1.0, 0.5)):
+            assert g.spectrum is not f.spectrum
+            assert g.spectrum.values.tobytes() == _forward_raw(grid40, g.values).tobytes()
 
 
 class TestForward:

@@ -35,6 +35,19 @@ FAST = SuiteConfig(seed=0, n_samples=2, alpha=0.5, times=(1.0, 4.0, 16.0),
                    half_width=512.0, grid_n=16384, band=(0.5, 8.0))
 
 
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """The list that grows by one on every numpy.fft.fft / ifft call."""
+    calls = []
+    for name in ("fft", "ifft"):
+        def counted(*args, _fft=getattr(np.fft, name), **kwargs):
+            calls.append(1)
+            return _fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
 class TestGenerateSchwartz:
     def test_deterministic(self):
         a = generate_schwartz(3, 5, (0.5, 8.0), SMALL)
@@ -103,6 +116,29 @@ class TestRunDecay:
         r = run_decay(cfg)[0]
         assert r.backends == ("error:domain-too-small",)
         assert math.isnan(r.ratios[0])
+
+    def test_transforms_per_sample(self, fft_calls):
+        # the sample's two generating transforms, its spectrum and the weighted
+        # norm's inverse, then one inverse transform per time
+        cfg = SuiteConfig(seed=0, n_samples=1)
+        run_decay(cfg)
+        assert len(fft_calls) <= 4 + len(cfg.times)
+
+    def test_quadrature_sup_finds_off_centre_sample(self, monkeypatch):
+        # a sample centred near x = 40, outside the fixed +-15 around the
+        # causal cone that the quadrature scan once assumed
+        def shifted(seed, index, band, grid):
+            phi = generate_schwartz(seed, index, band, grid)
+            return phi.with_values(np.roll(phi.values, int(40.0 / grid.spacing)))
+
+        monkeypatch.setattr(harness, "generate_schwartz", shifted)
+        kwargs = dict(seed=0, n_samples=1, times=(4.0,), half_width=256.0,
+                      grid_n=8192, band=(0.5, 8.0))
+        quad = run_decay(SuiteConfig(backend="quadrature", **kwargs))[0]
+        spec = run_decay(SuiteConfig(backend="spectral", **kwargs))[0]
+        assert (quad.backends, spec.backends) == (("quadrature",), ("spectral",))
+        assert 30.0 < spec.argmax_x[0] < 50.0
+        assert abs(quad.sup_norms[0] - spec.sup_norms[0]) <= 1e-4 * spec.sup_norms[0]
 
     def test_auto_policy_switches_to_quadrature(self):
         cfg = SuiteConfig(seed=0, n_samples=1, times=(1024.0,),
@@ -228,20 +264,13 @@ class TestLemmaSuites:
                                        [np.max(ref), np.median(ref)], rtol=1e-12,
                                        err_msg=row["check"])
 
-    def test_transforms_per_sample(self, monkeypatch):
-        # one spectrum and the weighted norm's two transforms per sample, then
-        # P_k f, |D| P_k f and the transform of -i x P_k f per usable k
-        calls = []
-        for name in ("fft", "ifft"):
-            def counted(*args, _fft=getattr(np.fft, name), **kwargs):
-                calls.append(1)
-                return _fft(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
+    def test_transforms_per_sample(self, fft_calls):
+        # one spectrum and the weighted norm's inverse transform per sample,
+        # then P_k f, |D| P_k f and the transform of -i x P_k f per usable k
         cfg = SuiteConfig(seed=0, n_samples=2)
         run_lemma_suites(cfg, self.GRID)
         usable = sum(resolvable_k(self.GRID, k) for k in range(-8, 9))
-        assert len(calls) <= cfg.n_samples * (3 + 3 * usable)
+        assert len(fft_calls) <= cfg.n_samples * (2 + 3 * usable)
 
 
 class TestRunTrace:

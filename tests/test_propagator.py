@@ -88,6 +88,15 @@ class TestEvolveSpectral:
             evolve_spectral(f, 1000.0, 0.5)
         assert exc.value.min_half_width > 50.0
 
+    def test_wrap_guard_with_cached_spectrum(self):
+        # the spectrum is read at a guarded t first; the guard must still trip
+        grid = GridSpec(half_width=50.0, size=4096)
+        f = generate_schwartz(0, 0, (0.5, 8.0), grid)
+        evolve_spectral(f, 1.0, 0.5)
+        assert "spectrum" in vars(f)
+        with pytest.raises(DomainTooSmallError):
+            evolve_spectral(f, 1000.0, 0.5)
+
     def test_backend_agreement(self):
         # alpha = 1/2, t = 20, spectrum in [1/2, 8]: spectral vs quadrature at
         # 50 random points
