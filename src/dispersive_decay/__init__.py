@@ -40,7 +40,6 @@ from .littlewood_paley import (
 from .proof_tracer import (
     BandPartition,
     ProofTrace,
-    annulus_decomposition,
     build_partition,
     kernel_lower_bound,
     q0_estimate,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -135,10 +135,6 @@ class SampledFunction:
                     f"frequency {self.grid.nyquist:g}"
                 )
 
-    @classmethod
-    def from_callable(cls, grid: GridSpec, fn, band_limit=None) -> "SampledFunction":
-        return cls(grid, np.asarray(fn(grid.x), dtype=np.complex128), band_limit)
-
     def with_values(self, values) -> "SampledFunction":
         return SampledFunction(self.grid, values, self.band_limit)
 
@@ -149,19 +145,26 @@ class SampledFunction:
         ``values`` is read-only, so it cannot go stale. Unlike ``forward_ft``
         it neither checks the input nor warns.
         """
-        return SpectralFunction(self.grid, _forward_raw(self.grid, self.values))
+        return SpectralFunction(self.grid, _forward_raw(self.grid, self.values), _adopt=True)
 
 
 @dataclass(frozen=True)
 class SpectralFunction:
-    """Complex samples of a Fourier transform on the dual grid."""
+    """Complex samples of a Fourier transform on the dual grid.
+
+    ``values`` is copied unless ``_adopt`` is set, which the package does only
+    for an array it has just formed and hands over; it is read-only either way.
+    """
 
     grid: GridSpec
     values: np.ndarray
     notes: tuple = field(default_factory=tuple, compare=False)
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self):
-        arr = _as_complex_array(self.values, self.grid.size).copy()
+    def __post_init__(self, _adopt):
+        arr = _as_complex_array(self.values, self.grid.size)
+        if not _adopt:
+            arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -249,7 +252,7 @@ def forward_ft(f: SampledFunction) -> SpectralFunction:
         )
         warnings.warn(msg, BoundaryDecayWarning, stacklevel=2)
         notes = (msg,)
-    return SpectralFunction(f.grid, f.spectrum.values, notes=notes)
+    return SpectralFunction(f.grid, f.spectrum.values, notes=notes, _adopt=True)
 
 
 def inverse_ft(F: SpectralFunction) -> SampledFunction:

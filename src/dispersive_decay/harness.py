@@ -27,7 +27,7 @@ from .errors import (
 )
 from .grid import _SUPPORT_RTOL, GridSpec, SampledFunction
 from .littlewood_paley import _lemma_denominator, _Piece, make_bump, resolvable_k
-from .propagator import evolve_quadrature, evolve_spectral, phase_speed
+from .propagator import SpectralAmplitude, evolve_quadrature, evolve_spectral, phase_speed
 from .proof_tracer import choose_l0, kernel_lower_bound, q0_estimate, trace_terms
 from .schwartz import generate_schwartz, schwartz_sample
 
@@ -335,10 +335,11 @@ def run_trace_ratio_suite(config: SuiteConfig, times: tuple = TRACE_SUITE_TIMES,
     for i in range(config.n_samples):
         phi = generate_schwartz(config.seed, i, band, grid)
         speed = _dominant_speed(phi, config.alpha)
+        amp = SpectralAmplitude(phi.spectrum)
         for t in times:
             for ray_factor in (0.125, 1.0, 8.0):
                 x = -t * speed * ray_factor
-                tr = trace_terms(phi, t, x, config.alpha, with_annuli=False)
+                tr = trace_terms(phi, t, x, config.alpha, with_annuli=False, _amp=amp)
                 for name, r in (("A", tr.ratio_A), ("B1", tr.ratio_B1),
                                 ("B2", tr.ratio_B2), ("B3", tr.ratio_B3),
                                 ("C", tr.ratio_C)):

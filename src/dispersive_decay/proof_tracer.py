@@ -5,10 +5,10 @@ frequency bands into a low block (A), a middle block (B) further partitioned
 by the index sets I1/I2/I3 (how the ray x/t compares with the group speeds on
 the annulus), and a high block (C).  Every term integrates the same
 amplitude against its own window (psi_k, the low bump, or an annulus around
-the stationary point), so all of them come from one panel set per (t, x) with
-one amplitude evaluation per node; the full integral u(t, x) is computed
-apart, on its own panels, so the reconstruction defect compares two
-quadratures.  Each term is reported together with the ratio to the right side
+the stationary point), so all of them come from one set of quadrature cells
+per (t, x) with one amplitude evaluation per node; the full integral u(t, x)
+is computed apart, on its own cells, so the reconstruction defect compares
+two quadratures.  Each term is reported together with the ratio to the right side
 of the bound it must satisfy; the constants are implicit in the analysis, so
 the suites pin the empirical ratios instead of asserting absolute thresholds.
 
@@ -34,7 +34,6 @@ from .propagator import (
     SpectralAmplitude,
     _dphi,
     _windowed_integrals,
-    oscillatory_integral,
     stationary_point,
 )
 
@@ -45,10 +44,10 @@ __all__ = [
     "trace_terms",
     "kernel_lower_bound",
     "q0_estimate",
-    "annulus_decomposition",
 ]
 
 _K_SCAN = range(-64, 65)
+_U_LEVIN_NODES = 12  # Levin nodes per cell of u(t, x); the windowed pass uses the default
 
 
 def lambda_low(t: float) -> float:
@@ -168,7 +167,7 @@ def _intersect(iv1, iv2):
 
 def _cut(intervals, points):
     """The intervals split at every point strictly inside one of them."""
-    points = sorted(points)
+    points = sorted(set(points))
     out = []
     for (a, b) in intervals:
         edges = [a, *(p for p in points if a < p < b), b]
@@ -245,7 +244,7 @@ def _annulus_windows(amp: SpectralAmplitude, k: int, t: float, x: float, alpha: 
 
     Each window is (label, intervals, weight, cap): label "center" or l, the
     part of supp psi_k it covers, the weight psi_k times the centre bump or
-    psi_l(. - xi0), and the panel width that resolves that weight.  The
+    psi_l(. - xi0), and the cell width that resolves that weight.  The
     centre always comes first (its intervals may be empty); an l-annulus is
     listed only where it meets the band.  The l-sum stops once 2^{l-1}
     exceeds the reach of supp psi_k around xi0.
@@ -278,43 +277,29 @@ def _integrate_windows(amp: SpectralAmplitude, intervals, windows, t: float, x: 
                        alpha: float) -> dict:
     """One engine pass over the intervals for (label, intervals, weight, cap) windows.
 
-    The intervals are cut at every window edge, so each window is a union of
-    whole panels, and the panel width is capped by the smallest cap among the
-    windows; a window with no intervals gets 0.  Returns label -> integral.
+    The intervals (ascending) are cut at every window edge, so each window is
+    a union of whole cells and panels.  A cut interval is capped by the
+    smallest cap among the windows that cover it, and left out when none
+    does; a window with no intervals gets 0.  Returns label -> integral.
     """
     live = [w for w in windows if w[1]]
     out = {label: 0.0j for label, *_ in windows}
     if live:
         edges = [e for _, iv, *_ in live for ab in iv for e in ab]
+        pieces = _cut(intervals, edges)
+        mids = np.array([0.5 * (a + b) for a, b in pieces])
+        caps = np.full(mids.size, np.inf)
+        for _, iv, _, cap in live:
+            for lo, hi in iv:
+                span = slice(np.searchsorted(mids, lo), np.searchsorted(mids, hi))
+                caps[span] = np.minimum(caps[span], cap)
+        keep = np.isfinite(caps)
         vals = _windowed_integrals(
-            amp, _cut(intervals, edges), [(iv, weight) for _, iv, weight, _ in live],
-            t, x, alpha, amp_scale=min(cap for *_, cap in live),
+            amp, [p for p, k in zip(pieces, keep) if k],
+            [(iv, weight) for _, iv, weight, _ in live], t, x, alpha, amp_scale=caps[keep],
         )
         out.update(zip((label for label, *_ in live), vals))
     return out
-
-
-def annulus_decomposition(phi: SampledFunction, k: int, t: float, x: float,
-                          alpha: float = 0.5, bump: BumpFunction = _DEFAULT_BUMP,
-                          amp: SpectralAmplitude | None = None) -> list:
-    """Stationary-phase splitting of the band-k oscillatory integral.
-
-    Returns [("center", magnitude), (l0+1, magnitude), ...]: the piece within
-    distance ~2^{l0} of the stationary point, then dyadic annuli around it.
-    The l-sum truncates at the first empty intersection, which happens once
-    2^{l-1} exceeds the diameter of supp psi_k around xi0 (finite by
-    construction, no artificial cap).  The complex pieces telescope back to
-    the undecomposed integral exactly.  All pieces come from one panel set
-    over the band.
-    """
-    if stationary_point(t, x, alpha) is None:
-        raise ParameterError("no stationary point: annulus decomposition undefined")
-    if amp is None:
-        amp = SpectralAmplitude(phi.spectrum)
-    windows = _annulus_windows(amp, k, t, x, alpha, bump)
-    band = _intersect(_annulus_intervals(k), amp.support)
-    vals = _integrate_windows(amp, band, windows, t, x, alpha)
-    return [(label, abs(vals[label]) / (2.0 * np.pi)) for label, *_ in windows]
 
 
 @dataclass(frozen=True)
@@ -345,16 +330,18 @@ class ProofTrace:
 
 def trace_terms(phi: SampledFunction, t: float, x: float, alpha: float = 0.5,
                 margin: float = 16.0, bump: BumpFunction = _DEFAULT_BUMP,
-                with_annuli: bool = True) -> ProofTrace:
+                with_annuli: bool = True, *, _amp: SpectralAmplitude | None = None
+                ) -> ProofTrace:
     """Compute |P_k u(t, x)| for every active band and aggregate the proof terms.
 
     Each aggregate is reported as (term value) / (right side of its bound):
     finite, recorded ratios standing in for the implicit absolute constants.
+    ``_amp`` is phi's spectral amplitude when the caller already built it.
     """
     if t == 0.0:
         raise ParameterError("t must be nonzero")
     part = build_partition(t, x, alpha, margin)
-    amp = SpectralAmplitude(phi.spectrum)
+    amp = SpectralAmplitude(phi.spectrum) if _amp is None else _amp
     if not amp.support:
         zero = BoundedValue(0.0, 0.0)
         return ProofTrace(
@@ -396,9 +383,10 @@ def trace_terms(phi: SampledFunction, t: float, x: float, alpha: float = 0.5,
     pieces_c = {k: vals[k] / (2.0 * np.pi) for k in active}
     low_c = vals["low"] / (2.0 * np.pi)
 
-    # the full integral on its own panel set, so the defect compares two quadratures
-    u_val = oscillatory_integral(amp, amp.support, t, x, alpha,
-                                 amp_scale=scale8) / (2.0 * np.pi)
+    # the full integral on its own cells, with their own node count and no
+    # edge at a window cut, so the defect compares two quadratures
+    u_val = _windowed_integrals(amp, amp.support, [(None, None)], t, x, alpha,
+                                amp_scale=scale8, levin_nodes=_U_LEVIN_NODES)[0] / (2.0 * np.pi)
     recon = low_c + sum(pieces_c.values())
     defect = abs(recon - u_val)
 

@@ -7,11 +7,17 @@ Two backends:
   periodic: a wrap-around guard, checked at every t, rejects evolutions
   whose fastest group speed would carry mass more than 0.4 L.
 * ``evolve_quadrature`` integrates the inversion integral directly at
-  arbitrary points with adaptive Gauss panels, making no periodicity
-  assumption.  Panel refinement is driven by the local phase increment; the
-  integrand is otherwise smooth, so oscillation is the only difficulty.  One
-  panel set can serve several windowed integrals of the same amplitude
-  (``_windowed_integrals``); ``oscillatory_integral`` is its one-window case.
+  arbitrary points, making no periodicity assumption.  The amplitude is a
+  quintic spline on the xi grid, so it is smooth on each grid cell and the
+  phase is the only difficulty.  Wherever the phase is fast, a grid cell is a
+  Levin cell: a collocation rule whose complex node weights absorb exp(iQ)
+  (Levin, Math. Comp. 38, 1982), with an error that falls as the frequency
+  grows (Olver, IMA J. Numer. Anal. 26, 2006).  Around the stationary point
+  and wherever the phase is slow, 8-point Gauss panels refined by the local
+  phase increment take over.  One set of cells and panels serves several
+  windowed integrals of the same amplitude (``_windowed_integrals``).
+  ``oscillatory_integral`` keeps the Gauss panels everywhere: it is the
+  reference the Levin rule is tested against.
 
 Both agree on band-limited data inside the guard, and that agreement is one of
 the headline cross-checks of the harness.
@@ -20,6 +26,7 @@ the headline cross-checks of the harness.
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -162,7 +169,9 @@ def evolve_spectral(phi: SampledFunction, t: float, alpha: float = 0.5) -> Sampl
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _COARSE_CHUNKS = 64
 _EVAL_BLOCK = 1 << 18  # panels per evaluation block, to bound peak memory
-_NODE_CHUNK = 1 << 14  # nodes per amplitude or weight evaluation, for the same reason
+_NODE_CHUNK = 1 << 14  # nodes per amplitude, weight or Levin-solve evaluation, for the same reason
+_LEVIN_NODES = 10  # Chebyshev points per Levin cell of the windowed pass
+_LEVIN_MIN_PHASE = 4.0  # a cell is a Levin cell once min |Q'| times its width reaches this
 
 
 class SpectralAmplitude:
@@ -175,8 +184,10 @@ class SpectralAmplitude:
     def __init__(self, F: SpectralFunction):
         _check_finite(F.values, "SpectralAmplitude")
         xi = F.grid.xi
-        self._re = make_interp_spline(xi, F.values.real, k=5)
-        self._im = make_interp_spline(xi, F.values.imag, k=5)
+        # one spline through the (real, imaginary) pairs: one collocation
+        # matrix and one basis evaluation serve both parts
+        self._spline = make_interp_spline(xi, F.values.view(float).reshape(-1, 2), k=5,
+                                          check_finite=False)
         self.grid = F.grid
         self.xi_spacing = d = F.grid.xi_spacing
         floor = 0.5 * d
@@ -192,7 +203,37 @@ class SpectralAmplitude:
         self.excluded_mass = float(np.sum(np.abs(F.values[near_zero])) * d)
 
     def __call__(self, xi):
-        return self._re(xi) + 1j * self._im(xi)
+        pairs = np.ascontiguousarray(self._spline(xi))
+        return pairs.view(np.complex128).reshape(np.shape(xi))
+
+
+def _pieces(intervals, amp_scale, t: float, x: float, alpha: float) -> list:
+    """(a, b, cap) for each interval, split at xi0, in ascending order.
+
+    ``amp_scale`` is one width cap for every interval or one cap per interval.
+    """
+    caps = np.broadcast_to(np.asarray(amp_scale, dtype=float), (len(intervals),))
+    if np.any(caps <= 0):
+        raise ParameterError("amp_scale must be positive")
+    xi0 = stationary_point(t, x, alpha)
+    out = []
+    for (a, b), cap in sorted(zip(intervals, caps.tolist())):
+        if b <= a:
+            continue
+        if a < 0 < b:
+            raise ParameterError("intervals must not straddle xi = 0")
+        edges = [a, xi0, b] if xi0 is not None and a < xi0 < b else [a, b]
+        out.extend((lo, hi, cap) for lo, hi in zip(edges[:-1], edges[1:]))
+    return out
+
+
+def _spend(total: int, budget: int, max_phase: float) -> None:
+    if total > budget:
+        raise AccuracyNotMetError(
+            f"panel budget {budget} exhausted (needed > {total}); "
+            "phase too oscillatory for the requested accuracy",
+            achieved=max_phase * total / budget,
+        )
 
 
 def _subdivide(a: float, b: float, t: float, x: float, alpha: float,
@@ -212,7 +253,12 @@ def _subdivide(a: float, b: float, t: float, x: float, alpha: float,
     n1 = np.ceil(w * max_dq / max_phase)
     n2 = np.ceil(np.sqrt(w**2 * max_d2q / (2.0 * max_phase)))
     n3 = np.ceil(w / amp_scale)
-    n = np.maximum.reduce([n1, n2, n3, np.ones_like(w)]).astype(np.int64)
+    return _split(edges, np.maximum.reduce([n1, n2, n3, np.ones_like(w)]).astype(np.int64))
+
+
+def _split(edges: np.ndarray, n: np.ndarray):
+    """Starts/widths of the n[i] equal parts of each [edges[i], edges[i+1]]."""
+    w = np.diff(edges)
     total = int(np.sum(n))
     sub_w = np.repeat(w / n, n)
     offsets = np.arange(total) - np.repeat(np.concatenate(([0], np.cumsum(n)[:-1])), n)
@@ -220,65 +266,106 @@ def _subdivide(a: float, b: float, t: float, x: float, alpha: float,
     return starts, sub_w
 
 
-def _panels(intervals, t: float, x: float, alpha: float, amp_scale: float,
-            max_phase: float, budget: int):
-    """Gauss panel starts/widths over the intervals, each split at xi0, in ascending order.
+def _panels(pieces, t: float, x: float, alpha: float, max_phase: float, budget: int,
+            spent: int = 0):
+    """Gauss panel starts/widths over the (a, b, cap) pieces, in their order.
 
-    Raises AccuracyNotMetError once the panel count passes ``budget``.
+    Raises AccuracyNotMetError once ``spent`` plus the panel count passes ``budget``.
     """
-    if amp_scale <= 0:
-        raise ParameterError("amp_scale must be positive")
-    all_starts, all_widths = [], []
-    total = 0
-    for (a, b) in sorted(intervals):
-        if b <= a:
-            continue
-        if a < 0 < b:
-            raise ParameterError("intervals must not straddle xi = 0")
-        pieces = [(a, b)]
-        xi0 = stationary_point(t, x, alpha)
-        if xi0 is not None and a < xi0 < b:
-            pieces = [(a, xi0), (xi0, b)]
-        for (pa, pb) in pieces:
-            starts, widths = _subdivide(pa, pb, t, x, alpha, amp_scale, max_phase)
-            total += starts.size
-            if total > budget:
-                raise AccuracyNotMetError(
-                    f"panel budget {budget} exhausted (needed > {total}); "
-                    "phase too oscillatory for the requested accuracy",
-                    achieved=max_phase * total / budget,
-                )
-            all_starts.append(starts)
-            all_widths.append(widths)
-    if not all_starts:
-        return np.empty(0), np.empty(0)
+    all_starts, all_widths = [np.empty(0)], [np.empty(0)]
+    for (a, b, cap) in pieces:
+        starts, widths = _subdivide(a, b, t, x, alpha, cap, max_phase)
+        spent += starts.size
+        _spend(spent, budget, max_phase)
+        all_starts.append(starts)
+        all_widths.append(widths)
     return np.concatenate(all_starts), np.concatenate(all_widths)
 
 
-def _node_ranges(nodes: np.ndarray, intervals) -> list:
-    """Index range of the sorted nodes inside each interval; all nodes for None."""
-    if intervals is None:
-        return [(0, nodes.size)]
-    return [(int(np.searchsorted(nodes, a)), int(np.searchsorted(nodes, b, "right")))
-            for (a, b) in intervals]
+def _levin_cells(pieces, spacing: float, t: float, x: float, alpha: float):
+    """Split each (a, b, cap) piece at the grid points (multiples of ``spacing``)
+    inside it, and each part into equal cells no wider than its cap.
 
-
-def _windowed_integrals(amp, intervals, windows, t: float, x: float, alpha: float,
-                        amp_scale: float, max_phase: float = np.pi / 4.0,
-                        budget: int = 1 << 23) -> list:
-    """int amp(xi) w(xi) exp(i (x xi + t |xi|^alpha)) dxi for each window, from one panel set.
-
-    The panels cover ``intervals`` (split at the stationary point) and are
-    taken a block of at most ``_EVAL_BLOCK`` panels at a time; amp and exp(iQ)
-    are evaluated once per node, and they and the window weights on at most
-    ``_NODE_CHUNK`` nodes at a time.  Each window is (window intervals, w): it
-    sums the weighted integrand over the nodes inside its intervals, or over
-    every node when they are None; a weight of None is 1.  The window
-    intervals must end at panel edges or where w vanishes, and the panel
-    intervals must not overlap when a window names intervals.
+    Between two grid points the spline amplitude is one quintic, which the
+    Levin nodes resolve.  A cell is a Levin cell where x + t Phi' keeps its
+    sign at both ends (it is monotone on a sign branch, so the ends decide)
+    and min |Q'| times its width is at least ``_LEVIN_MIN_PHASE``.  Returns
+    the Levin cells' starts and widths and the maximal runs of the other
+    cells of each piece, as (a, b, cap) pieces for the Gauss rule.
     """
-    starts, widths = _panels(intervals, t, x, alpha, amp_scale, max_phase, budget)
-    acc = [0.0 + 0.0j] * len(windows)
+    all_starts, all_widths, rest = [np.empty(0)], [np.empty(0)], []
+    for (a, b, cap) in pieces:
+        # a grid point within 1e-6 spacing of an end would leave a sliver cell
+        knots = spacing * np.arange(np.ceil(a / spacing), np.floor(b / spacing) + 1)
+        knots = knots[(knots > a + 1e-6 * spacing) & (knots < b - 1e-6 * spacing)]
+        coarse = np.concatenate(([a], knots, [b]))
+        starts, widths = _split(coarse, np.ceil(np.diff(coarse) / cap).astype(np.int64))
+        edges = np.append(starts, b)
+        dq = x + t * _dphi(edges, alpha)
+        levin = ((dq[:-1] * dq[1:] > 0)
+                 & (np.minimum(np.abs(dq[:-1]), np.abs(dq[1:])) * widths >= _LEVIN_MIN_PHASE))
+        all_starts.append(starts[levin])
+        all_widths.append(widths[levin])
+        step = np.diff(np.concatenate(([0], (~levin).astype(np.int8), [0])))
+        rest.extend((float(edges[i]), float(edges[j]), cap)
+                    for i, j in zip(np.flatnonzero(step == 1), np.flatnonzero(step == -1)))
+    return np.concatenate(all_starts), np.concatenate(all_widths), rest
+
+
+@functools.lru_cache(maxsize=4)
+def _chebyshev(n: int):
+    """The n Chebyshev points on (-1, 1), ascending, the transpose of their
+    differentiation matrix, and the Lagrange basis at -1 and at +1.
+
+    The points are interior, so adjacent cells, and rules of another n,
+    share no node.  Barycentric weights give both the matrix (rows summing
+    to zero) and the basis values.
+    """
+    j = np.arange(n)
+    theta = (2 * j + 1) * np.pi / (2 * n)
+    s = -np.cos(theta)
+    c = (-1.0) ** j * np.sin(theta)
+    diff = s[:, None] - s[None, :]
+    np.fill_diagonal(diff, 1.0)
+    d = (c[None, :] / c[:, None]) / diff
+    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(d, -d.sum(axis=1))
+    left, right = (c / (end - s) / np.sum(c / (end - s)) for end in (-1.0, 1.0))
+    return s, np.ascontiguousarray(d.T), left, right
+
+
+def _levin_blocks(amp, starts, widths, t: float, x: float, alpha: float, n: int):
+    """(nodes, integrand) of the Levin cells, at most ``_NODE_CHUNK`` nodes at a time.
+
+    On a cell [a, b] of half-width h, collocating p' + i Q' p = f on n
+    Chebyshev points gives int f e^{iQ} = p(b) e^{iQ(b)} - p(a) e^{iQ(a)}
+    (Levin 1982).  That is linear in f: the rule sum_j W_j f(xi_j), whose
+    complex weights solve (D/h + i diag Q')^T W = l(b) e^{iQ(b)} -
+    l(a) e^{iQ(a)} with l the Lagrange basis, one solve per cell for any
+    number of windows.
+    """
+    s, dt, left, right = _chebyshev(n)
+    diag = np.arange(n)
+    step = max(1, _NODE_CHUNK // n)
+    for i in range(0, starts.size, step):
+        a = starts[i : i + step, None]
+        half = 0.5 * widths[i : i + step, None]
+        nodes = (a + half) + half * s
+        mat = np.empty((a.size, n, n), dtype=np.complex128)
+        mat[:] = dt
+        mat[:, diag, diag] += 1j * half * (x + t * _dphi(nodes, alpha))
+        ends = np.hstack([a, a + 2.0 * half])
+        phase = np.exp(1j * (x * ends + t * np.abs(ends) ** alpha))
+        rhs = phase[:, 1:] * right - phase[:, :1] * left
+        weights = half * np.linalg.solve(mat, rhs[..., None])[..., 0]
+        flat = nodes.ravel()
+        integrand = amp(flat)
+        integrand *= weights.ravel()
+        yield flat, integrand
+
+
+def _gauss_blocks(amp, starts, widths, t: float, x: float, alpha: float):
+    """(nodes, integrand) of the Gauss panels, a block of at most ``_EVAL_BLOCK`` at a time."""
     for i in range(0, starts.size, _EVAL_BLOCK):
         s = starts[i : i + _EVAL_BLOCK]
         w = widths[i : i + _EVAL_BLOCK]
@@ -294,14 +381,57 @@ def _windowed_integrals(amp, intervals, windows, t: float, x: float, alpha: floa
             part *= amp(xi)
             part *= gauss[c : c + _NODE_CHUNK]
             integrand[c : c + _NODE_CHUNK] = part
+        yield flat, integrand
+
+
+def _node_ranges(nodes: np.ndarray, intervals) -> list:
+    """Index range of the sorted nodes inside each interval; all nodes for None."""
+    if intervals is None:
+        return [(0, nodes.size)]
+    return [(int(np.searchsorted(nodes, a)), int(np.searchsorted(nodes, b, "right")))
+            for (a, b) in intervals]
+
+
+def _windowed_integrals(amp, intervals, windows, t: float, x: float, alpha: float,
+                        amp_scale, max_phase: float = np.pi / 4.0,
+                        budget: int = 1 << 23, levin_nodes: int = _LEVIN_NODES) -> list:
+    """int amp(xi) w(xi) exp(i (x xi + t |xi|^alpha)) dxi for each window, from one rule.
+
+    The intervals, split at the stationary point, are cut at the grid points
+    of ``amp`` (its ``xi_spacing``) into cells no wider than the interval's
+    cap (``amp_scale``: one for all intervals or one per interval).  Where
+    the phase is fast a cell is a Levin cell with ``levin_nodes`` nodes
+    (``_levin_cells``); the maximal runs of the other cells, around xi0 and
+    wherever the phase is slow, get phase-refined 8-point Gauss panels.  With
+    ``levin_nodes`` = 0 every interval gets Gauss panels and ``amp`` needs no
+    grid spacing.  The panel budget counts Levin cells and Gauss panels.
+
+    amp is evaluated once per node, and the window weights on at most
+    ``_NODE_CHUNK`` nodes at a time.  Each window is (window intervals, w): it
+    sums the weighted integrand over the cells and panels inside its
+    intervals, or over all of them when they are None; a weight of None is 1.
+    The window intervals must end at interval edges or where w vanishes, and
+    the intervals must not overlap when a window names intervals.
+    """
+    pieces = _pieces(intervals, amp_scale, t, x, alpha)
+    blocks, spent = [], 0
+    if levin_nodes:
+        cells, cell_widths, pieces = _levin_cells(pieces, amp.xi_spacing, t, x, alpha)
+        spent = cells.size
+        _spend(spent, budget, max_phase)
+        blocks.append(_levin_blocks(amp, cells, cell_widths, t, x, alpha, levin_nodes))
+    starts, widths = _panels(pieces, t, x, alpha, max_phase, budget, spent)
+    blocks.append(_gauss_blocks(amp, starts, widths, t, x, alpha))
+    acc = [0.0 + 0.0j] * len(windows)
+    for nodes, integrand in itertools.chain(*blocks):
         for j, (window, weight) in enumerate(windows):
-            for lo, hi in _node_ranges(flat, window):
+            for lo, hi in _node_ranges(nodes, window):
                 if weight is None:
                     acc[j] += np.sum(integrand[lo:hi])
                 else:
                     for c in range(lo, hi, _NODE_CHUNK):
                         end = min(c + _NODE_CHUNK, hi)
-                        acc[j] += np.sum(integrand[c:end] * weight(flat[c:end]))
+                        acc[j] += np.sum(integrand[c:end] * weight(nodes[c:end]))
     return [complex(a) for a in acc]
 
 
@@ -310,11 +440,13 @@ def oscillatory_integral(amp, intervals, t: float, x: float, alpha: float,
                          budget: int = 1 << 23):
     """int amp(xi) exp(i (x xi + t |xi|^alpha)) dxi over the given intervals.
 
-    ``amp`` is any callable returning complex values; ``amp_scale`` caps the
-    panel width so that the 8-point Gauss rule also resolves the amplitude.
+    The reference rule: phase-refined 8-point Gauss panels everywhere, no
+    Levin cells.  ``amp`` is any callable returning complex values;
+    ``amp_scale`` caps the panel width so that the Gauss rule also resolves
+    the amplitude.
     """
     return _windowed_integrals(amp, intervals, [(None, None)], t, x, alpha,
-                               amp_scale, max_phase, budget)[0]
+                               amp_scale, max_phase, budget, levin_nodes=0)[0]
 
 
 def evolve_quadrature(phi_hat: SpectralFunction, t: float, x_points, alpha: float = 0.5,
@@ -339,9 +471,8 @@ def evolve_quadrature(phi_hat: SpectralFunction, t: float, x_points, alpha: floa
         amp_scale = 8.0 * amp.xi_spacing
     out = []
     for x in np.atleast_1d(np.asarray(x_points, dtype=float)):
-        val = oscillatory_integral(
-            amp, amp.support, t, float(x), alpha, amp_scale, max_phase, budget
-        )
+        val = _windowed_integrals(amp, amp.support, [(None, None)], t, float(x), alpha,
+                                  amp_scale, max_phase, budget)[0]
         out.append(val / (2.0 * np.pi))
     return out
 

@@ -132,6 +132,26 @@ class TestSpectrum:
         assert not F.values.flags.writeable
         assert F.values.tobytes() == _forward_raw(grid40, f.values).tobytes()
 
+    def test_adopts_its_transform_and_copies_a_callers_array(self, grid40, monkeypatch):
+        f = gaussian(grid40, b=2.0)
+        formed = []
+
+        def spy(grid, values):
+            formed.append(_forward_raw(grid, values))
+            return formed[-1]
+
+        monkeypatch.setattr(grid_module, "_forward_raw", spy)
+        F = f.spectrum
+        assert F.values is formed[0]
+        assert forward_ft(f).values is F.values
+        with pytest.raises(ValueError):
+            F.values[0] = 0.0
+        mine = F.values.copy()
+        G = SpectralFunction(grid40, mine)
+        mine[:] = 0.0
+        assert mine.flags.writeable and not G.values.flags.writeable
+        assert G.values.tobytes() == F.values.tobytes()
+
     def test_own_spectrum_per_sample(self, grid40):
         f = gaussian(grid40, b=2.0)
         for g in (f.with_values(2.0 * f.values), evolve_spectral(f, 1.0, 0.5)):

@@ -13,7 +13,6 @@ from dispersive_decay.proof_tracer import (
     _intersect,
     _min_abs_dq,
     build_partition,
-    annulus_decomposition,
     choose_l0,
     kernel_lower_bound,
     lambda_high,
@@ -217,26 +216,25 @@ class TestQ0Estimate:
 
 class TestAnnulusDecomposition:
     def test_triangle_and_telescoping(self):
+        # the annuli of band k split its integral, so their magnitudes add up
+        # to at least the band's own magnitude and the Gauss reference's
         t = 2048.0
         phi = generate_schwartz(0, 0, (0.5, 16.0), GRID)
         x = -t * 0.5 / np.sqrt(2.0)  # ray along the xi ~ 2 stationary ray
-        part = build_partition(t, x)
-        k = next(k for k in part.I2 if 0 <= k <= 3)
-        pieces = annulus_decomposition(phi, k, t, x)
-        total = sum(m for _, m in pieces)
-        # undecomposed band integral
+        trace = trace_terms(phi, t, x)
+        k = next(k for k in trace.annuli if 0 <= k <= 3)
+        total = sum(m for _, m in trace.annuli[k])
         amp = SpectralAmplitude(forward_ft(phi))
-        from dispersive_decay.littlewood_paley import make_bump
         bump = make_bump()
 
         def band_amp(xi):
             return amp(xi) * bump.dyadic_piece(xi, k)
 
-        from dispersive_decay.proof_tracer import _annulus_intervals, _intersect
         band = _intersect(_annulus_intervals(k), amp.support)
         whole = abs(oscillatory_integral(band_amp, band, t, x, 0.5,
                                          amp_scale=min(8 * amp.xi_spacing, 2.0 ** k / 8))
                     ) / (2 * np.pi)
+        assert abs(whole - trace.piece_mags[k]) < 1e-11
         assert total >= whole - 1e-8
 
     def test_center_zero_when_spectrum_avoids_xi0(self):
@@ -248,9 +246,8 @@ class TestAnnulusDecomposition:
         phi = inverse_ft(SpectralFunction(GRID, hat))
         part = build_partition(t, x)
         assert 0 in part.I2
-        pieces = annulus_decomposition(phi, 0, t, x)
-        assert pieces[0][0] == "center"
-        assert pieces[0][1] == 0.0
+        pieces = trace_terms(phi, t, x).annuli[0]
+        assert pieces[0] == ("center", 0.0)
 
     def test_l0_choice(self):
         # 2^{l0} ~ 2^{(2-alpha)k/2} / sqrt(|t|)
@@ -399,39 +396,62 @@ class TestTraceEngine:
                         lambda xi: bump.dyadic_piece(xi, k) * bump.dyadic_piece(xi - xi0, l),
                         pieces, min(scale, 2.0 ** l / 4.0))))
                 l += 1
-            alone = annulus_decomposition(phi, k, t, x)
             assert [lab for lab, _ in ann] == [lab for lab, _ in expected]
-            assert [lab for lab, _ in alone] == [lab for lab, _ in expected]
-            for (_, m), (_, m_alone), (_, val) in zip(ann, alone, expected):
+            for (_, m), (_, val) in zip(ann, expected):
                 assert abs(m - abs(val) / (2 * np.pi)) < 1e-11
-                assert abs(m_alone - abs(val) / (2 * np.pi)) < 1e-11
 
     def test_full_integral_has_its_own_panels(self, phi, monkeypatch):
         # the reconstruction defect must compare two quadratures, not restate
-        # the partition of unity on one panel set
-        starts = {True: [], False: []}
-        inside = [False]
-        subdivide, full_integral = propagator._subdivide, proof_tracer.oscillatory_integral
+        # the partition of unity on one set of nodes
+        passes = []
+        windowed = proof_tracer._windowed_integrals
+        blocks = {name: getattr(propagator, name) for name in ("_levin_blocks", "_gauss_blocks")}
 
-        def spy_subdivide(*args):
-            out = subdivide(*args)
-            starts[inside[0]].append(out[0])
-            return out
+        def spy_windowed(*args, **kwargs):
+            passes.append([])
+            return windowed(*args, **kwargs)
 
-        def spy_full(*args, **kwargs):
-            inside[0] = True
-            try:
-                return full_integral(*args, **kwargs)
-            finally:
-                inside[0] = False
+        def spy_blocks(name):
+            def spy(*args):
+                for nodes, integrand in blocks[name](*args):
+                    passes[-1].append(nodes)
+                    yield nodes, integrand
+            return spy
 
-        monkeypatch.setattr(propagator, "_subdivide", spy_subdivide)
-        monkeypatch.setattr(proof_tracer, "oscillatory_integral", spy_full)
+        monkeypatch.setattr(proof_tracer, "_windowed_integrals", spy_windowed)
+        for name in blocks:
+            monkeypatch.setattr(propagator, name, spy_blocks(name))
         trace = trace_terms(phi, self.T, self.X)
-        full, shared = np.concatenate(starts[True]), np.concatenate(starts[False])
+        assert len(passes) == 2
+        shared, full = (np.concatenate(p) for p in passes)
         assert full.size > 1000 and shared.size > 1000
         assert np.intersect1d(full, shared).size < 0.01 * shared.size
         assert 0.0 < trace.reconstruction_defect < 1e-8
+
+    def test_window_caps_stay_on_their_intervals(self, phi, monkeypatch):
+        # the centre window's narrow cap must not narrow the rest of the pass
+        passes = []
+        windowed = proof_tracer._windowed_integrals
+
+        def spy(amp, intervals, windows, *args, amp_scale, **kwargs):
+            passes.append((intervals, np.broadcast_to(amp_scale, (len(intervals),))))
+            return windowed(amp, intervals, windows, *args, amp_scale=amp_scale, **kwargs)
+
+        monkeypatch.setattr(proof_tracer, "_windowed_integrals", spy)
+        trace = trace_terms(phi, self.T, self.X)
+        pieces, caps = passes[0]
+        xi0 = stationary_point(self.T, self.X, 0.5)
+        k = min(trace.annuli)
+        l0 = choose_l0(k, self.T, 0.5)
+        center_cap = 2.0 ** l0 / 4.0
+        assert center_cap < 8.0 * GRID.xi_spacing
+        assert min(caps) == center_cap
+        # away from the low block and the small-k pieces, near xi0 = 2 but
+        # outside the centre window
+        outside = [cap for (a, b), cap in zip(pieces, caps)
+                   if min(abs(a), abs(b)) >= 1.0
+                   and (b <= xi0 - 2.0 ** (l0 + 1) or a >= xi0 + 2.0 ** (l0 + 1))]
+        assert outside and min(outside) > center_cap
 
     def test_block_size_does_not_matter(self, phi, monkeypatch):
         # odd blocks of 97 panels and chunks of 101 nodes put window edges

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from dispersive_decay.errors import (
+    AccuracyNotMetError,
     DomainTooSmallError,
     ParameterError,
     UndefinedRatioError,
@@ -17,11 +18,16 @@ from dispersive_decay.grid import (
     inverse_ft,
     l2_norm_physical,
 )
+from dispersive_decay import propagator
+from dispersive_decay.harness import TRACE_GRID, _dominant_speed
 from dispersive_decay.propagator import (
     PhaseSpec,
+    SpectralAmplitude,
+    _windowed_integrals,
     evolve_quadrature,
     evolve_spectral,
     factorization_residual,
+    oscillatory_integral,
     stationary_point,
 )
 from dispersive_decay.schwartz import band_window, generate_schwartz
@@ -159,6 +165,67 @@ class TestEvolveQuadrature:
         # precision relative to the amplitude scale
         val0 = evolve_quadrature(forward_ft(f), t, [0.0], 0.5)[0]
         assert abs(val0 - oracle(0.0)) < 1e-11
+
+
+class TestLevinRule:
+    """The Levin cells of the windowed rule against the pure Gauss reference."""
+
+    @pytest.fixture(scope="class", params=[0, 1])
+    def sample(self, request):
+        phi = generate_schwartz(request.param, 0, (0.25, 32.0), TRACE_GRID)
+        mass = np.sum(np.abs(phi.spectrum.values)) * TRACE_GRID.xi_spacing
+        return phi, SpectralAmplitude(phi.spectrum), mass
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.35])
+    @pytest.mark.parametrize("t", [2048.0, 8192.0])
+    @pytest.mark.parametrize("ray_factor", [0.125, 1.0, 8.0])
+    def test_matches_gauss_reference(self, sample, alpha, t, ray_factor):
+        phi, amp, mass = sample
+        x = -t * _dominant_speed(phi, alpha) * ray_factor
+        scale = 8.0 * amp.xi_spacing
+        gauss = oscillatory_integral(amp, amp.support, t, x, alpha, scale)
+        levin = _windowed_integrals(amp, amp.support, [(None, None)], t, x, alpha, scale)[0]
+        assert abs(levin - gauss) <= 1e-13 * mass
+
+    def test_cell_classification(self):
+        # xi0 = 4; cells between multiples of 0.05 on (1.01, 16), not split
+        # at xi0, and on the negative branch, where |Q'| >= 512 everywhere
+        t, alpha = 2048.0, 0.5
+        x = -t * 0.5 / 2.0
+        spec = PhaseSpec(alpha=alpha, t=t, x=x)
+        pieces = [(-16.0, -1.01, 1.0), (1.01, 16.0, 1.0)]
+        starts, widths, gauss = propagator._levin_cells(pieces, 0.05, t, x, alpha)
+        dq = spec.dq(np.stack([starts, starts + widths]))
+        assert np.all(dq[0] * dq[1] > 0)
+        assert np.all(np.min(np.abs(dq), axis=0) * widths >= 4.0)
+        assert np.all(widths <= 0.05 * (1 + 1e-12))
+        # the spline is one quintic between grid points: no cell holds one
+        inside = (np.floor((starts + widths) / 0.05 - 1e-9)
+                  - np.ceil(starts / 0.05 + 1e-9) + 1)
+        assert np.all(inside == 0)
+        # one maximal run of Gauss cells, holding xi0 and every cell with
+        # min |Q'| w < 4; the Levin cells cover the rest
+        assert len(gauss) == 1
+        a, b, cap = gauss[0]
+        assert a < 4.0 < b and cap == 1.0
+        assert not np.any((starts < b) & (starts + widths > a))
+        assert np.sum(widths) + (b - a) == pytest.approx(2 * 14.99, rel=1e-12)
+        w = widths[0]
+        for lo, hi in ((a, a + w), (b - w, b)):
+            assert np.min(np.abs(spec.dq([lo, hi]))) * w < 4.0
+        for lo, hi in ((a - w, a), (b, b + w)):
+            assert np.min(np.abs(spec.dq([lo, hi]))) * w >= 4.0
+        # a cell holding xi0 goes to Gauss even where |Q'| w is large at both ends
+        assert min(abs(spec.dq(3.0)), abs(spec.dq(5.0))) * 2.0 >= 4.0
+        starts, _, gauss = propagator._levin_cells([(3.0, 5.0, 2.0)], 10.0, t, x, alpha)
+        assert starts.size == 0 and gauss == [(3.0, 5.0, 2.0)]
+
+    def test_budget_counts_levin_cells(self):
+        grid = GridSpec(half_width=200.0, size=4096)
+        amp = SpectralAmplitude(generate_schwartz(0, 0, (0.5, 4.0), grid).spectrum)
+        with pytest.raises(AccuracyNotMetError):
+            _windowed_integrals(amp, amp.support, [(None, None)], 2048.0, -5000.0, 0.5,
+                                amp.xi_spacing, budget=10)
 
 
 class TestStationaryPoint:
