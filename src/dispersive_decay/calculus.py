@@ -63,7 +63,7 @@ def fractional_derivative(f: SampledFunction, s: float) -> SampledFunction:
     The zero mode is mapped to 0 for s > 0 (the limit value) and rejected for
     s < 0 unless it already vanishes.
     """
-    _check_finite(f.values, "fractional_derivative")
+    _check_finite(f, "fractional_derivative")
     if s <= -1:
         raise ParameterError("order s must be > -1")
     if s == 0:
@@ -83,15 +83,14 @@ def fractional_derivative(f: SampledFunction, s: float) -> SampledFunction:
             )
         hat = hat.copy()
         hat[zero] = 0.0
-    return SampledFunction(f.grid, _inverse_raw(f.grid, mult * hat), f.band_limit)
+    return SampledFunction(f.grid, _inverse_raw(f.grid, mult * hat), f.band_limit, _adopt=True)
 
 
 def spectral_derivative(f: SampledFunction, order: int = 1) -> SampledFunction:
     """d/dx via the multiplier (i xi)^order."""
     hat = f.spectrum.values
-    return SampledFunction(
-        f.grid, _inverse_raw(f.grid, (1j * f.grid.xi) ** order * hat), f.band_limit
-    )
+    return SampledFunction(f.grid, _inverse_raw(f.grid, (1j * f.grid.xi) ** order * hat),
+                           f.band_limit, _adopt=True)
 
 
 def lp_norm(f: SampledFunction, p) -> float:
@@ -135,7 +134,7 @@ def weighted_norm(f: SampledFunction) -> float:
 
 def norms(f: SampledFunction, extra_s: tuple = ()) -> NormBundle:
     """L^2, H^1, weighted, and any extra H^s norms of f."""
-    _check_finite(f.values, "norms")
+    _check_finite(f, "norms")
     hs = {1.0: hs_norm(f, 1.0), 0.75: hs_norm(f, 0.75)}
     for s in extra_s:
         hs[float(s)] = hs_norm(f, float(s))
@@ -158,7 +157,7 @@ def locate_sup(f: SampledFunction) -> SupResult:
     The refinement removes the O(h^2) noise a pure grid max would add to the
     decay curves, which are the headline output of the harness.
     """
-    _check_finite(f.values, "locate_sup")
+    _check_finite(f, "locate_sup")
     mag = np.abs(f.values)
     i = int(np.argmax(mag))
     if i == 0 or i == f.grid.size - 1:

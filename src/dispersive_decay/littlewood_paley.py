@@ -130,7 +130,7 @@ class _Piece:
     @cached_property
     def phys(self) -> SampledFunction:
         """P_k f."""
-        return SampledFunction(self.grid, _inverse_raw(self.grid, self.piece_hat))
+        return SampledFunction(self.grid, _inverse_raw(self.grid, self.piece_hat), _adopt=True)
 
     @cached_property
     def _vanishes(self) -> bool:
@@ -157,7 +157,7 @@ class _Piece:
         mult = np.zeros_like(xi)
         nz = xi != 0.0
         mult[nz] = np.abs(xi[nz]) ** s
-        dpiece = SampledFunction(self.grid, _inverse_raw(self.grid, mult * self.piece_hat))
+        dpiece = SampledFunction(self.grid, _inverse_raw(self.grid, mult * self.piece_hat), _adopt=True)
         lhs = lp_norm(self.phys, p)
         rhs = 2.0 ** (-s * self.k) * lp_norm(dpiece, p)
         if rhs == 0.0 or lhs == 0.0:

@@ -5,7 +5,9 @@ Two backends:
 * ``evolve_spectral`` multiplies the sample's cached spectrum by the
   unimodular factor on the frequency grid.  Fast and exactly unitary, but
   periodic: a wrap-around guard, checked at every t, rejects evolutions
-  whose fastest group speed would carry mass more than 0.4 L.
+  whose fastest group speed would carry mass more than 0.4 L.  The factor
+  is even and the xi axis exactly symmetric, so ``_multiplier`` takes the
+  exponential on xi >= 0 and the unpaired node -N/2 only, and mirrors it.
 * ``evolve_quadrature`` integrates the inversion integral directly at
   arbitrary points, making no periodicity assumption.  The amplitude is a
   quintic spline on the xi grid, so it is smooth on each grid cell and the
@@ -83,6 +85,17 @@ def _phase(grid: GridSpec, alpha: float) -> np.ndarray:
     return phase
 
 
+def _multiplier(grid: GridSpec, t: float, alpha: float) -> np.ndarray:
+    """exp(i t |xi|^alpha) on the grid, mirrored onto xi < 0: bit for bit the full-axis exp."""
+    phase = _phase(grid, alpha)
+    m = grid.size // 2
+    mult = np.empty(grid.size, dtype=np.complex128)
+    mult[m:] = np.exp(1j * t * phase[m:])
+    mult[:1] = np.exp(1j * t * phase[:1])
+    mult[1:m] = mult[:m:-1]
+    return mult
+
+
 def phase_speed(xi, alpha):
     """|Phi'(xi)| = alpha |xi|^{alpha-1}, the group speed at frequency xi."""
     return alpha * np.abs(xi) ** (alpha - 1.0)
@@ -139,7 +152,7 @@ def stationary_point(t: float, x: float, alpha: float = 0.5):
 
 def evolve_spectral(phi: SampledFunction, t: float, alpha: float = 0.5) -> SampledFunction:
     """exp(i t |D|^alpha) phi by pointwise multiplication on the frequency grid."""
-    _check_finite(phi.values, "evolve_spectral")
+    _check_finite(phi, "evolve_spectral")
     if not (0 < alpha < 1):
         raise ParameterError("alpha must lie in (0, 1)")
     if t == 0.0:
@@ -158,8 +171,9 @@ def evolve_spectral(phi: SampledFunction, t: float, alpha: float = 0.5) -> Sampl
                 f"{_WRAP_FRACTION * phi.grid.half_width:g}; enlarge the domain",
                 min_half_width=travel / _WRAP_FRACTION,
             )
-    mult = np.exp(1j * t * _phase(phi.grid, alpha))
-    return SampledFunction(phi.grid, _inverse_raw(phi.grid, mult * hat), phi.band_limit)
+    mult = _multiplier(phi.grid, t, alpha)
+    mult *= hat
+    return SampledFunction(phi.grid, _inverse_raw(phi.grid, mult), phi.band_limit, _adopt=True)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +196,7 @@ class SpectralAmplitude:
     """
 
     def __init__(self, F: SpectralFunction):
-        _check_finite(F.values, "SpectralAmplitude")
+        _check_finite(F, "SpectralAmplitude")
         xi = F.grid.xi
         # one spline through the (real, imaginary) pairs: one collocation
         # matrix and one basis evaluation serve both parts
@@ -497,5 +511,5 @@ def factorization_residual(phi: SampledFunction, t: float, dt: float = 1e-3,
     denom = l2_norm_physical(lap)
     if denom == 0.0:
         raise UndefinedRatioError("|D|^{2 alpha} u vanishes")
-    resid = SampledFunction(phi.grid, d2t + lap.values)
+    resid = SampledFunction(phi.grid, d2t + lap.values, _adopt=True)
     return l2_norm_physical(resid) / denom

@@ -38,8 +38,13 @@ def schwartz_sample(grid: GridSpec, seed: int, index: int) -> SampledFunction:
     x = grid.x
     vals = np.zeros(grid.size, dtype=np.complex128)
     for a, x0, b, c in zip(widths, centers, freqs, coeffs):
-        vals += c * np.exp(-a * (x - x0) ** 2 + 1j * b * x)
-    return SampledFunction(grid, vals)
+        # exp(z) is exactly 0 once Re z < -745.2, and adding such a +-0 term changes
+        # no entry: summing where a (x - x0)^2 <= 746 is the full-grid sum bit for bit
+        r = np.sqrt(746.0 / a)
+        lo, hi = np.searchsorted(x, (x0 - r, x0 + r))
+        xs = x[lo:hi]
+        vals[lo:hi] += c * np.exp(-a * (xs - x0) ** 2 + 1j * b * xs)
+    return SampledFunction(grid, vals, _adopt=True)
 
 
 def band_window(xi: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -69,4 +74,4 @@ def generate_schwartz(seed: int, index: int, band: tuple, grid: GridSpec) -> Sam
     raw = schwartz_sample(grid, seed, index)
     hat = _forward_raw(grid, raw.values)
     filtered = band_window(grid.xi, lo, hi_eff) * hat
-    return SampledFunction(grid, _inverse_raw(grid, filtered), band_limit=hi_eff)
+    return SampledFunction(grid, _inverse_raw(grid, filtered), band_limit=hi_eff, _adopt=True)

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.special import eval_hermite
 
 from dispersive_decay import grid as grid_module
+from dispersive_decay import propagator
 from dispersive_decay.calculus import (
     fractional_derivative,
     hs_norm,
@@ -20,6 +21,7 @@ from dispersive_decay.grid import (
     SampledFunction,
     SpectralFunction,
     _forward_raw,
+    _inverse_raw,
     forward_ft,
     inverse_ft,
     plancherel_defect,
@@ -37,6 +39,11 @@ def quad_ft(fn, xi: float) -> complex:
     im = quad(lambda x: (fn(x) * np.exp(-1j * xi * x)).imag, -np.inf, np.inf,
               limit=400)[0]
     return re + 1j * im
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The IEEE bit patterns of a float or complex array, signed zeros included."""
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 class TestGridSpec:
@@ -100,6 +107,13 @@ class TestOccupiedBand:
         assert F.occupied_band(-1) == (2.0, 5.0)
         assert F.occupied[8]  # the mask keeps xi = 0; the bands leave it out
 
+    def test_each_side_cached_on_its_own(self):
+        F = self.spectrum([-5, -2, 0, 3, 6])
+        seen = {side: F.occupied_band(side) for side in (1, 0, -1, 0, 1)}
+        assert seen == {1: (3.0, 6.0), 0: (2.0, 6.0), -1: (2.0, 5.0)}
+        for side in (-1, 0, 1):
+            assert F.occupied_band(side) is F.occupied_band(side)
+
     def test_empty(self):
         assert SpectralFunction(self.G, np.zeros(16)).occupied_band() is None
         F = self.spectrum([0, 4])
@@ -152,11 +166,47 @@ class TestSpectrum:
         assert mine.flags.writeable and not G.values.flags.writeable
         assert G.values.tobytes() == F.values.tobytes()
 
+    def test_evolution_adopts_its_inverse_transform(self, grid40, monkeypatch):
+        f = gaussian(grid40, b=2.0)
+        formed = []
+
+        def spy(grid, hat):
+            formed.append(_inverse_raw(grid, hat))
+            return formed[-1]
+
+        monkeypatch.setattr(propagator, "_inverse_raw", spy)
+        u = evolve_spectral(f, 1.0, 0.5)
+        # scipy.fft may hand back a view, which asarray re-wraps: compare memory
+        assert np.shares_memory(u.values, formed[0]) and not u.values.flags.writeable
+        mine = u.values.copy()
+        v = SampledFunction(grid40, mine)
+        mine[:] = 0.0
+        assert not np.shares_memory(v.values, mine)
+        assert v.values.tobytes() == u.values.tobytes()
+
     def test_own_spectrum_per_sample(self, grid40):
         f = gaussian(grid40, b=2.0)
         for g in (f.with_values(2.0 * f.values), evolve_spectral(f, 1.0, 0.5)):
             assert g.spectrum is not f.spectrum
             assert g.spectrum.values.tobytes() == _forward_raw(grid40, g.values).tobytes()
+
+
+class TestTransformBits:
+    """The scipy.fft pair, shifted and scaled in place, is bit for bit the numpy.fft + fftshift form."""
+
+    @pytest.mark.parametrize("n", [16, 4096, 2**15, 2**17])
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_matches_numpy_fftshift_form(self, n, kind):
+        g = GridSpec(half_width=200.0, size=n)  # h = 400 / n, whose reciprocal is inexact
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n)
+        if kind == "complex":
+            v = v + 1j * rng.standard_normal(n)
+        v[::5] *= 0.0  # signed zeros ride along: negative entries become -0
+        forward = g.spacing * g._signs() * np.fft.fftshift(np.fft.fft(v))
+        inverse = np.fft.ifft(np.fft.ifftshift(v * g._signs()) / g.spacing)
+        np.testing.assert_array_equal(bits(_forward_raw(g, v)), bits(forward))
+        np.testing.assert_array_equal(bits(_inverse_raw(g, v)), bits(inverse))
 
 
 class TestForward:

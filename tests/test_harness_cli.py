@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from dispersive_decay import harness, pins
 from dispersive_decay.calculus import (
@@ -18,6 +19,8 @@ from dispersive_decay.errors import ParameterError
 from dispersive_decay.grid import GridSpec, SampledFunction, forward_ft
 from dispersive_decay.harness import (
     DYADIC_TIMES,
+    LEMMA_GRID,
+    TRACE_GRID,
     SuiteConfig,
     decay_rows,
     read_csv_rows,
@@ -28,7 +31,7 @@ from dispersive_decay.harness import (
 )
 from dispersive_decay.littlewood_paley import project, resolvable_k
 from dispersive_decay.propagator import evolve_spectral
-from dispersive_decay.schwartz import generate_schwartz, schwartz_sample
+from dispersive_decay.schwartz import generate_schwartz, schwartz_params, schwartz_sample
 
 SMALL = GridSpec(half_width=512.0, size=16384)
 FAST = SuiteConfig(seed=0, n_samples=2, alpha=0.5, times=(1.0, 4.0, 16.0),
@@ -37,18 +40,31 @@ FAST = SuiteConfig(seed=0, n_samples=2, alpha=0.5, times=(1.0, 4.0, 16.0),
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """The list that grows by one on every numpy.fft.fft / ifft call."""
+    """The list that grows by one on every scipy.fft.fft / ifft call, the package's FFTs."""
     calls = []
     for name in ("fft", "ifft"):
-        def counted(*args, _fft=getattr(np.fft, name), **kwargs):
+        def counted(*args, _fft=getattr(scipy.fft, name), **kwargs):
             calls.append(1)
             return _fft(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, counted)
+        monkeypatch.setattr(scipy.fft, name, counted)
     return calls
 
 
 class TestGenerateSchwartz:
+    @pytest.mark.parametrize("grid", [SuiteConfig().grid(), LEMMA_GRID, TRACE_GRID,
+                                      GridSpec(half_width=16.0, size=16)],
+                             ids=["decay", "lemma", "trace", "n16"])
+    def test_windowed_sum_is_bit_equal_to_full_grid_sum(self, grid):
+        x = grid.x
+        for seed in (0, 1, 7):
+            for index in range(40):
+                full = np.zeros(grid.size, dtype=np.complex128)
+                for a, x0, b, c in zip(*schwartz_params(seed, index)):
+                    full += c * np.exp(-a * (x - x0) ** 2 + 1j * b * x)
+                got = schwartz_sample(grid, seed, index).values
+                np.testing.assert_array_equal(got.view(np.uint64), full.view(np.uint64))
+
     def test_deterministic(self):
         a = generate_schwartz(3, 5, (0.5, 8.0), SMALL)
         b = generate_schwartz(3, 5, (0.5, 8.0), SMALL)
@@ -122,6 +138,7 @@ class TestRunDecay:
         # norm's inverse, then one inverse transform per time
         cfg = SuiteConfig(seed=0, n_samples=1)
         run_decay(cfg)
+        assert len(fft_calls) > 0
         assert len(fft_calls) <= 4 + len(cfg.times)
 
     def test_quadrature_sup_finds_off_centre_sample(self, monkeypatch):
@@ -270,6 +287,7 @@ class TestLemmaSuites:
         cfg = SuiteConfig(seed=0, n_samples=2)
         run_lemma_suites(cfg, self.GRID)
         usable = sum(resolvable_k(self.GRID, k) for k in range(-8, 9))
+        assert len(fft_calls) > 0
         assert len(fft_calls) <= cfg.n_samples * (2 + 3 * usable)
 
 

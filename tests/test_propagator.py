@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 from dispersive_decay.errors import (
     AccuracyNotMetError,
     DomainTooSmallError,
+    InvalidInputError,
     ParameterError,
     UndefinedRatioError,
 )
@@ -19,10 +20,12 @@ from dispersive_decay.grid import (
     l2_norm_physical,
 )
 from dispersive_decay import propagator
-from dispersive_decay.harness import TRACE_GRID, _dominant_speed
+from dispersive_decay.harness import DYADIC_TIMES, TRACE_GRID, SuiteConfig, _dominant_speed
 from dispersive_decay.propagator import (
     PhaseSpec,
     SpectralAmplitude,
+    _multiplier,
+    _phase,
     _windowed_integrals,
     evolve_quadrature,
     evolve_spectral,
@@ -86,6 +89,23 @@ class TestEvolveSpectral:
         u3 = evolve_spectral(f, 17.0, 0.5)
         rel = np.linalg.norm(u12.values - u3.values) / np.linalg.norm(u3.values)
         assert rel < 1e-12
+
+    def test_non_finite_sample_raises_at_every_t(self, grid200):
+        # the finiteness verdict is cached on the sample; it must keep raising
+        vals = generate_schwartz(0, 0, (0.5, 8.0), grid200).values.copy()
+        vals[100] = np.nan
+        f = SampledFunction(grid200, vals)
+        for t in (1.0, 0.0, 1.0, 4.0):
+            with pytest.raises(InvalidInputError):
+                evolve_spectral(f, t, 0.5)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.45, 0.4, 0.35])
+    def test_mirrored_multiplier_is_bit_equal(self, alpha):
+        for grid in (SuiteConfig().grid(), GridSpec(half_width=4.0, size=16)):
+            for t in DYADIC_TIMES + (0.37,):
+                full = np.exp(1j * t * _phase(grid, alpha))
+                mirrored = _multiplier(grid, t, alpha)
+                np.testing.assert_array_equal(mirrored.view(np.uint64), full.view(np.uint64))
 
     def test_wrap_guard(self):
         grid = GridSpec(half_width=50.0, size=4096)
