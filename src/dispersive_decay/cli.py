@@ -8,6 +8,7 @@ function of its flags and seed; CSV files are the output contract.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -231,7 +232,10 @@ def cmd_factorization_check(args) -> int:
     return EXIT_PASS if ok else EXIT_PIN_EXCEEDED
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command parser, built once per process: each subcommand's ``func``
+    default binds its ``cmd_*`` function as it is when the parser is built."""
     parser = argparse.ArgumentParser(
         prog="dispersive-decay",
         description="Numerical verification of the |t|^{-1/2} dispersive decay "

@@ -11,15 +11,18 @@ Two backends:
 * ``evolve_quadrature`` integrates the inversion integral directly at
   arbitrary points, making no periodicity assumption.  The amplitude is a
   quintic spline on the xi grid, so it is smooth on each grid cell and the
-  phase is the only difficulty.  Wherever the phase is fast, a grid cell is a
-  Levin cell: a collocation rule whose complex node weights absorb exp(iQ)
-  (Levin, Math. Comp. 38, 1982), with an error that falls as the frequency
-  grows (Olver, IMA J. Numer. Anal. 26, 2006).  Around the stationary point
-  and wherever the phase is slow, 8-point Gauss panels refined by the local
-  phase increment take over.  One set of cells and panels serves several
-  windowed integrals of the same amplitude (``_windowed_integrals``).
-  ``oscillatory_integral`` keeps the Gauss panels everywhere: it is the
-  reference the Levin rule is tested against.
+  phase is the only difficulty.  The spline's banded collocation matrix
+  depends on the grid alone: its LU factorisation is cached per grid
+  (``_collocation``), and each sample pays only the back-substitution.
+  Wherever the phase is fast, a grid cell is a Levin cell: a collocation
+  rule whose complex node weights absorb exp(iQ) (Levin, Math. Comp. 38,
+  1982), with an error that falls as the frequency grows (Olver, IMA J.
+  Numer. Anal. 26, 2006).  Around the stationary point and wherever the
+  phase is slow, 8-point Gauss panels refined by the local phase increment
+  take over.  One set of cells and panels serves several windowed integrals
+  of the same amplitude (``_windowed_integrals``).  ``oscillatory_integral``
+  keeps the Gauss panels everywhere: it is the reference the Levin rule is
+  tested against.
 
 Both agree on band-limited data inside the guard, and that agreement is one of
 the headline cross-checks of the harness.
@@ -33,7 +36,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
+from scipy.interpolate import BSpline
+from scipy.linalg.lapack import dgbtrf, dgbtrs
+
+try:  # the band filler of make_interp_spline: scipy-private, absent from older scipy
+    from scipy.interpolate._dierckx import _coloc
+except ImportError:
+    _coloc = None
 
 from .calculus import fractional_derivative
 from .errors import (
@@ -186,11 +195,40 @@ _EVAL_BLOCK = 1 << 18  # panels per evaluation block, to bound peak memory
 _NODE_CHUNK = 1 << 14  # nodes per amplitude, weight or Levin-solve evaluation, for the same reason
 _LEVIN_NODES = 10  # Chebyshev points per Levin cell of the windowed pass
 _LEVIN_MIN_PHASE = 4.0  # a cell is a Levin cell once min |Q'| times its width reaches this
+_SPLINE_K = 5  # degree of the amplitude spline
+
+
+@functools.lru_cache(maxsize=2)
+def _collocation(grid: GridSpec):
+    """Not-a-knot knots, LU band and pivots of the quintic collocation matrix on
+    ``grid.xi``, read-only, for two grids at a time.
+
+    The band is filled as ``make_interp_spline`` fills it, by scipy's private
+    ``_coloc`` (without it, by the public ``BSpline.design_matrix``: the same
+    bits at twice the cost).  Its ``gbsv`` is ``gbtrf`` then ``gbtrs``, so
+    ``dgbtrs`` against this factor gives its coefficients bit for bit.
+    """
+    xi, k = grid.xi, _SPLINE_K
+    knots = np.r_[(xi[0],) * (k + 1), xi[3:-3], (xi[-1],) * (k + 1)]
+    band = np.zeros((3 * k + 1, xi.size), order="F")
+    if _coloc is not None:
+        _coloc(xi, knots, k, band.T, 0)
+    else:
+        coo = BSpline.design_matrix(xi, knots, k).tocoo()
+        band[2 * k + coo.row - coo.col, coo.col] = coo.data
+    lu, piv, info = dgbtrf(band, k, k, overwrite_ab=True)
+    if info != 0:
+        raise np.linalg.LinAlgError("quintic collocation matrix is singular")
+    for a in (knots, lu, piv):
+        a.flags.writeable = False
+    return knots, lu, piv
 
 
 class SpectralAmplitude:
     """Quintic-spline interpolant of spectral samples, callable at arbitrary xi.
 
+    It is ``make_interp_spline(xi, values, k=5)`` bit for bit, but the
+    collocation LU is cached per grid: a sample pays one back-substitution.
     Also knows the (sign-split) intervals on which the samples are numerically
     nonzero; quadrature is restricted to those intervals.
     """
@@ -198,10 +236,11 @@ class SpectralAmplitude:
     def __init__(self, F: SpectralFunction):
         _check_finite(F, "SpectralAmplitude")
         xi = F.grid.xi
-        # one spline through the (real, imaginary) pairs: one collocation
-        # matrix and one basis evaluation serve both parts
-        self._spline = make_interp_spline(xi, F.values.view(float).reshape(-1, 2), k=5,
-                                          check_finite=False)
+        knots, lu, piv = _collocation(F.grid)
+        # one spline through the (real, imaginary) pairs: one back-substitution
+        # and one basis evaluation serve both parts
+        coeffs, _ = dgbtrs(lu, _SPLINE_K, _SPLINE_K, F.values.view(float).reshape(-1, 2), piv)
+        self._spline = BSpline.construct_fast(knots, np.ascontiguousarray(coeffs), _SPLINE_K)
         self.grid = F.grid
         self.xi_spacing = d = F.grid.xi_spacing
         floor = 0.5 * d

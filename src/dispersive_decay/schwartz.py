@@ -8,6 +8,8 @@ deterministic function of (seed, index).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ParameterError
@@ -57,6 +59,14 @@ def band_window(xi: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return _step((a - lo) / rise, 1.0) * _step((hi - a) / fall, 1.0)
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_band_window(grid: GridSpec, lo: float, hi: float) -> np.ndarray:
+    """``band_window`` on the grid's xi axis, read-only, for one (grid, band) at a time."""
+    window = band_window(grid.xi, lo, hi)
+    window.flags.writeable = False
+    return window
+
+
 def generate_schwartz(seed: int, index: int, band: tuple, grid: GridSpec) -> SampledFunction:
     """Seeded Schwartz sample, spectrally band-passed to ``band`` with a smooth cutoff.
 
@@ -73,5 +83,5 @@ def generate_schwartz(seed: int, index: int, band: tuple, grid: GridSpec) -> Sam
     hi_eff = min(hi, 0.95 * grid.nyquist)
     raw = schwartz_sample(grid, seed, index)
     hat = _forward_raw(grid, raw.values)
-    filtered = band_window(grid.xi, lo, hi_eff) * hat
+    filtered = _grid_band_window(grid, lo, hi_eff) * hat
     return SampledFunction(grid, _inverse_raw(grid, filtered), band_limit=hi_eff, _adopt=True)

@@ -14,9 +14,9 @@ from dispersive_decay.calculus import (
     norms,
     weighted_norm,
 )
-from dispersive_decay.cli import main
+from dispersive_decay.cli import build_parser, main
 from dispersive_decay.errors import ParameterError
-from dispersive_decay.grid import GridSpec, SampledFunction, forward_ft
+from dispersive_decay.grid import GridSpec, SampledFunction, _forward_raw, _inverse_raw, forward_ft
 from dispersive_decay.harness import (
     DYADIC_TIMES,
     LEMMA_GRID,
@@ -31,7 +31,13 @@ from dispersive_decay.harness import (
 )
 from dispersive_decay.littlewood_paley import project, resolvable_k
 from dispersive_decay.propagator import evolve_spectral
-from dispersive_decay.schwartz import generate_schwartz, schwartz_params, schwartz_sample
+from dispersive_decay import schwartz
+from dispersive_decay.schwartz import (
+    band_window,
+    generate_schwartz,
+    schwartz_params,
+    schwartz_sample,
+)
 
 SMALL = GridSpec(half_width=512.0, size=16384)
 FAST = SuiteConfig(seed=0, n_samples=2, alpha=0.5, times=(1.0, 4.0, 16.0),
@@ -64,6 +70,28 @@ class TestGenerateSchwartz:
                     full += c * np.exp(-a * (x - x0) ** 2 + 1j * b * x)
                 got = schwartz_sample(grid, seed, index).values
                 np.testing.assert_array_equal(got.view(np.uint64), full.view(np.uint64))
+
+    @pytest.mark.parametrize("grid", [SuiteConfig().grid(), TRACE_GRID,
+                                      GridSpec(half_width=16.0, size=16)],
+                             ids=["decay", "trace", "n16"])
+    def test_band_pass_is_bit_equal_to_unfiltered_form(self, grid):
+        for seed in (0, 1):
+            for index in range(3):
+                # alternate the bands, so that a stale cached window shows
+                for lo, hi in ((0.5, 8.0), (0.25, 32.0)):
+                    hi_eff = min(hi, 0.95 * grid.nyquist)
+                    raw = schwartz_sample(grid, seed, index).values
+                    want = _inverse_raw(grid, band_window(grid.xi, lo, hi_eff)
+                                        * _forward_raw(grid, raw))
+                    got = generate_schwartz(seed, index, (lo, hi), grid).values
+                    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_cached_band_window_read_only(self):
+        window = schwartz._grid_band_window(TRACE_GRID, 0.5, 8.0)
+        assert not window.flags.writeable
+        assert window is schwartz._grid_band_window(TRACE_GRID, 0.5, 8.0)
+        want = band_window(TRACE_GRID.xi, 0.5, 8.0)
+        np.testing.assert_array_equal(window.view(np.uint64), want.view(np.uint64))
 
     def test_deterministic(self):
         a = generate_schwartz(3, 5, (0.5, 8.0), SMALL)
@@ -338,6 +366,36 @@ class TestCsv:
 
 
 class TestCli:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_cached_parser_gives_fresh_parser_outputs(self, tmp_path, capsys):
+        argvs = (["trace-proof", "--band", "0.5:8", "--samples", "1", "--out"],
+                 ["trace-proof", "--alpha", "half"],
+                 ["verify-decay", "--samples", "1", "--out"])
+
+        def run_all(fresh: bool) -> list:
+            outputs = []
+            for i, argv in enumerate(argvs):
+                if fresh:
+                    build_parser.cache_clear()
+                out = tmp_path / f"{fresh}-{i}.csv"
+                if argv[-1] == "--out":
+                    argv = argv + [str(out)]
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                csv = out.read_bytes() if out.exists() else None
+                outputs.append((code, captured.out, captured.err, csv))
+            return outputs
+
+        build_parser.cache_clear()
+        cached = run_all(fresh=False)
+        assert [o[0] for o in cached] == [0, 2, 0]
+        assert cached == run_all(fresh=True)
+
     def test_invalid_band_exit_2(self):
         assert main(["verify-decay", "--band", "5:1", "--samples", "1"]) == 2
 

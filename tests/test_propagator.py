@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import make_interp_spline
 from scipy.optimize import brentq
 
 from dispersive_decay.errors import (
@@ -20,7 +21,13 @@ from dispersive_decay.grid import (
     l2_norm_physical,
 )
 from dispersive_decay import propagator
-from dispersive_decay.harness import DYADIC_TIMES, TRACE_GRID, SuiteConfig, _dominant_speed
+from dispersive_decay.harness import (
+    DYADIC_TIMES,
+    TRACE_GRID,
+    SuiteConfig,
+    _dominant_speed,
+    run_trace_ratio_suite,
+)
 from dispersive_decay.propagator import (
     PhaseSpec,
     SpectralAmplitude,
@@ -185,6 +192,78 @@ class TestEvolveQuadrature:
         # precision relative to the amplitude scale
         val0 = evolve_quadrature(forward_ft(f), t, [0.0], 0.5)[0]
         assert abs(val0 - oracle(0.0)) < 1e-11
+
+
+@pytest.fixture
+def fresh_collocation():
+    """An empty per-grid collocation cache, emptied again afterwards."""
+    propagator._collocation.cache_clear()
+    yield propagator._collocation
+    propagator._collocation.cache_clear()
+
+
+class TestSpectralAmplitude:
+    """The cached collocation factor against make_interp_spline, the oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(F, nodes):
+        ref = make_interp_spline(F.grid.xi, F.values.view(float).reshape(-1, 2), k=5)
+        amp = SpectralAmplitude(F)
+        for got, want in ((amp._spline.t, ref.t), (amp._spline.c, ref.c)):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        want = np.ascontiguousarray(ref(nodes)).view(np.complex128).ravel()
+        np.testing.assert_array_equal(amp(nodes).view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("grid", [TRACE_GRID, GridSpec(half_width=256.0, size=8192),
+                                      GridSpec(half_width=40.0, size=4096)],
+                             ids=["trace", "fallback", "grid40"])
+    @pytest.mark.parametrize("band", [(0.5, 8.0), (0.25, 32.0)])
+    def test_bit_equal_to_make_interp_spline(self, grid, band):
+        nodes = np.random.default_rng(1).uniform(grid.xi[0], grid.xi[-1], 10_000)
+        for seed in range(4):
+            self.assert_matches_oracle(generate_schwartz(seed, 0, band, grid).spectrum, nodes)
+
+    @pytest.mark.parametrize("grid", [TRACE_GRID, GridSpec(half_width=40.0, size=4096)],
+                             ids=["trace", "grid40"])
+    def test_public_band_filler_is_bit_equal(self, grid, monkeypatch, fresh_collocation):
+        # the route taken where scipy lacks the private _coloc
+        monkeypatch.setattr(propagator, "_coloc", None)
+        nodes = np.random.default_rng(2).uniform(grid.xi[0], grid.xi[-1], 10_000)
+        for seed in range(2):
+            self.assert_matches_oracle(generate_schwartz(seed, 0, (0.5, 8.0), grid).spectrum,
+                                       nodes)
+
+    def test_one_factorisation_per_grid(self, monkeypatch, fresh_collocation):
+        factored, dgbtrf = [], propagator.dgbtrf
+
+        def spy(band, *args, **kwargs):
+            factored.append(band.shape)
+            return dgbtrf(band, *args, **kwargs)
+
+        monkeypatch.setattr(propagator, "dgbtrf", spy)
+        run_trace_ratio_suite(SuiteConfig(n_samples=2))
+        assert factored == [(16, TRACE_GRID.size)]
+        grid = GridSpec(half_width=40.0, size=4096)
+        for seed in range(2):
+            SpectralAmplitude(generate_schwartz(seed, 0, (0.5, 8.0), grid).spectrum)
+        assert factored == [(16, TRACE_GRID.size), (16, grid.size)]
+
+    def test_cached_arrays_read_only(self, fresh_collocation):
+        for a in fresh_collocation(GridSpec(half_width=40.0, size=4096)):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 0
+
+    def test_non_finite_spectrum_raises_before_factoring(self, monkeypatch,
+                                                         fresh_collocation):
+        monkeypatch.setattr(propagator, "dgbtrf", lambda *a, **k: pytest.fail("factored"))
+        grid = GridSpec(half_width=40.0, size=4096)
+        values = np.ones(grid.size, dtype=complex)
+        values[7] = np.nan
+        with pytest.raises(InvalidInputError):
+            SpectralAmplitude(SpectralFunction(grid, values))
+        assert fresh_collocation.cache_info().currsize == 0
 
 
 class TestLevinRule:
