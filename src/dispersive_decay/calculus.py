@@ -8,6 +8,7 @@ side as x times the spectral derivative.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -21,10 +22,13 @@ from .errors import (
     SingularMultiplierError,
 )
 from .grid import (
+    GridSpec,
     SampledFunction,
     _check_finite,
     _edge_exceeds,
     _inverse_raw,
+    _l2,
+    _trapezoid_sum,
     l2_norm_physical,
     trapezoid_weights,
 )
@@ -57,6 +61,17 @@ class NormBundle:
             raise InvalidInputError("norm bundle entries must be finite and nonnegative")
 
 
+@functools.lru_cache(maxsize=2)
+def _abs_xi_power(grid: GridSpec, s: float) -> np.ndarray:
+    """|xi|^s on the grid's xi axis, 0 at xi = 0; read-only, one array per (grid, s)."""
+    xi = grid.xi
+    mult = np.zeros_like(xi)
+    nz = xi != 0.0
+    mult[nz] = np.abs(xi[nz]) ** s
+    mult.flags.writeable = False
+    return mult
+
+
 def fractional_derivative(f: SampledFunction, s: float) -> SampledFunction:
     """Apply the multiplier |xi|^s, i.e. the operator (-Laplacian)^{s/2}.
 
@@ -69,13 +84,10 @@ def fractional_derivative(f: SampledFunction, s: float) -> SampledFunction:
     if s == 0:
         return f
     hat = f.spectrum.values
-    xi = f.grid.xi
-    zero = xi == 0.0
-    mult = np.zeros_like(xi)
-    nz = ~zero
-    mult[nz] = np.abs(xi[nz]) ** s
+    mult = _abs_xi_power(f.grid, s)
     if s < 0:
-        peak = np.max(np.abs(hat))
+        zero = f.grid.xi == 0.0
+        peak = f.spectrum._peak
         if peak > 0 and np.abs(hat[zero][0]) > 1e-13 * peak:
             raise SingularMultiplierError(
                 "negative-order multiplier |xi|^s is singular at xi = 0 but the "
@@ -93,14 +105,26 @@ def spectral_derivative(f: SampledFunction, order: int = 1) -> SampledFunction:
                            f.band_limit, _adopt=True)
 
 
+def _exponent(p):
+    """p in {1, 2, 4, np.inf}, with "inf" read as np.inf; any other p is rejected."""
+    if p not in (1, 2, 4, np.inf, "inf"):
+        raise ParameterError("only p in {1, 2, 4, inf} is supported")
+    return np.inf if p == "inf" else p
+
+
+def _lp(mag: np.ndarray, spacing: float, p, terms: np.ndarray) -> float:
+    """Trapezoid L^p norm from mag = |f| (samples ``spacing`` apart); overwrites ``terms``."""
+    if p == np.inf:
+        return float(np.max(mag))
+    if terms is not mag:
+        np.copyto(terms, mag)
+    return float(_trapezoid_sum(terms, trapezoid_weights(mag.size, spacing), p) ** (1.0 / p))
+
+
 def lp_norm(f: SampledFunction, p) -> float:
     """Trapezoid-rule L^p norm for p in {1, 2, 4, inf}."""
-    if p == np.inf or p == "inf":
-        return float(np.max(np.abs(f.values)))
-    if p not in (1, 2, 4):
-        raise ParameterError("only p in {1, 2, 4, inf} is supported")
-    w = trapezoid_weights(f.grid.size, f.grid.spacing)
-    return float(np.sum(w * np.abs(f.values) ** p) ** (1.0 / p))
+    mag = np.abs(f.values)
+    return _lp(mag, f.grid.spacing, _exponent(p), mag)
 
 
 def hs_norm(f: SampledFunction, s: float) -> float:
@@ -125,11 +149,7 @@ def weighted_norm(f: SampledFunction) -> float:
             BoundaryDecayWarning,
             stacklevel=2,
         )
-    return float(
-        np.sqrt(
-            np.sum(trapezoid_weights(f.grid.size, f.grid.spacing) * np.abs(integrand) ** 2)
-        )
-    )
+    return _l2(integrand, f.grid.spacing)
 
 
 def norms(f: SampledFunction, extra_s: tuple = ()) -> NormBundle:

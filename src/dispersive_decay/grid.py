@@ -183,6 +183,11 @@ class SpectralFunction(_ReadOnlyValues):
         return SpectralFunction(self.grid, values)
 
     @functools.cached_property
+    def _peak(self) -> float:
+        """max |fhat|, formed once per spectrum."""
+        return float(np.max(np.abs(self.values)))
+
+    @functools.cached_property
     def occupied(self) -> np.ndarray:
         """Read-only mask of the nodes where |fhat| > 1e-13 times its peak.
 
@@ -218,14 +223,25 @@ def trapezoid_weights(n: int, spacing: float) -> np.ndarray:
     return w
 
 
+def _trapezoid_sum(terms: np.ndarray, w: np.ndarray, p):
+    """np.sum(w * terms ** p) bit for bit, the sum of every L^p norm; overwrites ``terms``."""
+    terms **= p
+    terms *= w
+    return np.sum(terms)
+
+
+def _l2(values: np.ndarray, spacing: float, scratch: np.ndarray | None = None) -> float:
+    """Trapezoid L^2 norm of samples ``spacing`` apart; |values| goes to ``scratch``, if given."""
+    w = trapezoid_weights(values.size, spacing)
+    return float(np.sqrt(_trapezoid_sum(np.abs(values, out=scratch), w, 2)))
+
+
 def l2_norm_physical(f: SampledFunction) -> float:
-    w = trapezoid_weights(f.grid.size, f.grid.spacing)
-    return float(np.sqrt(np.sum(w * np.abs(f.values) ** 2)))
+    return _l2(f.values, f.grid.spacing)
 
 
 def l2_norm_spectral(F: SpectralFunction) -> float:
-    w = trapezoid_weights(F.grid.size, F.grid.xi_spacing)
-    return float(np.sqrt(np.sum(w * np.abs(F.values) ** 2)))
+    return _l2(F.values, F.grid.xi_spacing)
 
 
 def _check_finite(f, who):
@@ -233,21 +249,27 @@ def _check_finite(f, who):
         raise InvalidInputError(f"{who}: input contains non-finite values")
 
 
-def _forward_raw(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """h * sum_n f(x_n) exp(-i xi_j x_n) for all j, via FFT."""
-    F = scipy.fft.fft(np.asarray(values, dtype=np.complex128))
-    scale, m = grid.spacing * grid._signs(), grid.size // 2
-    out = np.empty_like(F)  # (h signs) * fftshift(F), written half by half
-    np.multiply(scale[:m], F[m:], out=out[:m])
-    np.multiply(scale[m:], F[:m], out=out[m:])
+def _forward_raw(grid: GridSpec, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """h * sum_n f(x_n) exp(-i xi_j x_n) for all j, via FFT; with ``out``, it may overwrite ``values``."""
+    F = scipy.fft.fft(np.asarray(values, dtype=np.complex128), overwrite_x=out is not None)
+    out = np.empty_like(F) if out is None else out
+    h, m = grid.spacing, grid.size // 2
+    # (h signs) * fftshift(F), written half by half; signs_j = (-1)^j and m is
+    # even, so each half of the signs runs +1, -1, ... and needs no array
+    for dst, src in ((out[:m], F[m:]), (out[m:], F[:m])):
+        np.multiply(src[::2], h, out=dst[::2])
+        np.multiply(src[1::2], -h, out=dst[1::2])
     return out
 
 
-def _inverse_raw(grid: GridSpec, hat: np.ndarray) -> np.ndarray:
-    """Exact inverse of _forward_raw (equals the Riemann sum of the inversion integral)."""
+def _inverse_raw(grid: GridSpec, hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Exact inverse of _forward_raw (equals the Riemann sum of the inversion integral).
+
+    A complex ``hat`` may pass ``out``, a complex N-array (not ``hat``) for the FFT to run in.
+    """
     signs, m = grid._signs(), grid.size // 2
     # ifftshift(hat signs) / h in place; a real hat is divided while still real
-    F = np.empty(grid.size, dtype=np.result_type(hat, signs))
+    F = np.empty(grid.size, dtype=np.result_type(hat, signs)) if out is None else out
     np.multiply(hat[m:], signs[m:], out=F[:m])
     np.multiply(hat[:m], signs[:m], out=F[m:])
     F /= grid.spacing

@@ -237,6 +237,7 @@ def run_lemma_suites(config: SuiteConfig, grid: GridSpec | None = None,
                     values[name].append(_ROW_RATIOS[name](piece, denom))
                 except UndefinedRatioError:
                     undefined[name] += 1
+            del piece  # its two N-arrays go before the next piece's are formed
 
     table = []
     for name in row_names:

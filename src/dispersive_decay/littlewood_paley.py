@@ -11,29 +11,33 @@ weighted-norm lemmas and of the Bernstein inequalities: each returns the
 quotient of the two sides of an inequality whose constant is implicit, and the
 suites record the empirical maxima as regression-pinned constants.  All of them
 are functionals of one dyadic piece and are computed by ``_Piece``, which holds
-the Nyquist guard and the zero-piece test, forms psi_k fhat once on the grid's
-cached xi axis and adds at most three transforms (P_k f, |D|^s P_k f and the
-transform of -i x P_k f).  Every piece reads the sample's cached spectrum, so
-a sample is transformed once for all its pieces and rows.
+the Nyquist guard and the zero-piece test, forms psi_k fhat once and adds at
+most three transforms (P_k f, |D|^s P_k f and the transform of -i x P_k f).
+Every piece reads the sample's cached spectrum, so a sample is transformed once
+for all its pieces and rows.  A piece costs little beyond its transforms:
+psi_k is evaluated only where 2^{k-1} <= |xi| <= 2^{k+1} (it is exactly 0.0
+elsewhere), the four L^p norms of |P_k f| are formed together once, and every
+temporary lives in one workspace per grid (``_workspace``), on which no array
+that leaves the piece is built.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .calculus import lp_norm, weighted_norm
+from .calculus import _abs_xi_power, _exponent, _lp, weighted_norm
 from .errors import OutOfBandError, ParameterError, UndefinedRatioError
 from .grid import (
     GridSpec,
     SampledFunction,
-    SpectralFunction,
     _forward_raw,
     _inverse_raw,
+    _l2,
     l2_norm_physical,
-    l2_norm_spectral,
 )
 
 __all__ = [
@@ -111,21 +115,43 @@ def project(f: SampledFunction, k: int, bump: BumpFunction = _DEFAULT_BUMP) -> S
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _workspace(grid: GridSpec) -> tuple:
+    """Two complex and one float N-array of scratch, each filled and read within one method call,
+    and -i x, read-only (-i x f transforms to d/dxi fhat)."""
+    n, minus_ix = grid.size, -1j * grid.x
+    minus_ix.flags.writeable = False
+    return np.empty(n, np.complex128), np.empty(n, np.complex128), np.empty(n), minus_ix
+
+
+def _windowed_piece(bump: BumpFunction, grid: GridSpec, k: int, out: np.ndarray) -> np.ndarray:
+    """``bump.dyadic_piece(grid.xi, k)`` bit for bit, into ``out``: the bump runs on 2^{k-1} <= xi
+    <= 2^{k+1}; it is even and the xi axis exactly symmetric, so xi < 0 takes its mirror image."""
+    m = grid.size // 2
+    xi = grid.xi[m:]
+    lo, hi = np.searchsorted(xi, 2.0 ** (k - 1)), np.searchsorted(xi, 2.0 ** (k + 1), "right")
+    out.fill(0.0)
+    out[m + lo:m + hi] = bump.dyadic_piece(xi[lo:hi], k)
+    out[m - hi + 1:m - lo + 1] = out[m + hi - 1:m + lo - 1:-1]
+    return out
+
+
 class _Piece:
     """The dyadic piece psi_k fhat of one sample, and every ratio built from it.
 
     The Nyquist guard runs on construction. psi_k * fhat is formed once, from
     the sample's cached spectrum; P_k f is inverted on first use and kept, so
-    the Bernstein and lemma ratios of one (sample, k) share it. Each ratio
-    adds at most one transform of its own.
+    the Bernstein and lemma ratios of one (sample, k) share it, as they share
+    its L^p norms. Each ratio adds at most one transform of its own.
     """
 
     def __init__(self, f: SampledFunction, k: int, bump: BumpFunction):
         _require_in_band(f.grid, k)
         self.grid = f.grid
         self.k = k
-        self.hat = f.spectrum.values
-        self.piece_hat = bump.dyadic_piece(f.grid.xi, k) * self.hat
+        self.spectrum = f.spectrum
+        psi = _windowed_piece(bump, self.grid, k, _workspace(self.grid)[2])
+        self.piece_hat = psi * self.spectrum.values
 
     @cached_property
     def phys(self) -> SampledFunction:
@@ -133,10 +159,22 @@ class _Piece:
         return SampledFunction(self.grid, _inverse_raw(self.grid, self.piece_hat), _adopt=True)
 
     @cached_property
+    def _peak(self) -> float:
+        """max |psi_k fhat|."""
+        return float(np.max(np.abs(self.piece_hat, out=_workspace(self.grid)[2])))
+
+    @cached_property
+    def _norms(self) -> dict:
+        """||P_k f||_p for p = 1, 2, 4, inf, from one |P_k f|."""
+        a, _, mag, _ = _workspace(self.grid)
+        np.abs(self.phys.values, out=mag)
+        terms = a.view(np.float64)[:mag.size]
+        return {p: _lp(mag, self.grid.spacing, p, terms) for p in (1, 2, 4, np.inf)}
+
+    @cached_property
     def _vanishes(self) -> bool:
-        peak = np.max(np.abs(self.piece_hat))
-        ref = np.max(np.abs(self.hat))
-        return bool(peak == 0.0 or (ref > 0 and peak < _ZERO_PIECE_RTOL * ref))
+        ref = self.spectrum._peak
+        return bool(self._peak == 0.0 or (ref > 0 and self._peak < _ZERO_PIECE_RTOL * ref))
 
     def _require_nonzero(self):
         if self._vanishes:
@@ -145,21 +183,18 @@ class _Piece:
     def bernstein(self, p, q) -> float:
         """||P_k f||_q / (2^{k(1/p - 1/q)} ||P_k f||_p); p, q in {1, 2, 4, np.inf}."""
         self._require_nonzero()
-        inv_p = 0.0 if p == np.inf else 1.0 / p
-        inv_q = 0.0 if q == np.inf else 1.0 / q
-        return lp_norm(self.phys, q) / (
-            2.0 ** (self.k * (inv_p - inv_q)) * lp_norm(self.phys, p))
+        p, q = _exponent(p), _exponent(q)
+        return self._norms[q] / (2.0 ** (self.k * (1.0 / p - 1.0 / q)) * self._norms[p])
 
     def derivative_bernstein(self, s: float, p) -> tuple:
         """(lhs/rhs, rhs/lhs) with lhs = ||P_k f||_p, rhs = 2^{-sk} || |D|^s P_k f ||_p."""
         self._require_nonzero()
-        xi = self.grid.xi
-        mult = np.zeros_like(xi)
-        nz = xi != 0.0
-        mult[nz] = np.abs(xi[nz]) ** s
-        dpiece = SampledFunction(self.grid, _inverse_raw(self.grid, mult * self.piece_hat), _adopt=True)
-        lhs = lp_norm(self.phys, p)
-        rhs = 2.0 ** (-s * self.k) * lp_norm(dpiece, p)
+        p = _exponent(p)
+        a, b, mag, _ = _workspace(self.grid)
+        np.multiply(_abs_xi_power(self.grid, s), self.piece_hat, out=a)
+        dpiece = _inverse_raw(self.grid, a, out=b)
+        lhs = self._norms[p]
+        rhs = 2.0 ** (-s * self.k) * _lp(np.abs(dpiece, out=mag), self.grid.spacing, p, mag)
         if rhs == 0.0 or lhs == 0.0:
             raise UndefinedRatioError(f"degenerate piece for k = {self.k}")
         return lhs / rhs, rhs / lhs
@@ -173,23 +208,25 @@ class _Piece:
         """
         if denom == 0.0:
             raise UndefinedRatioError("zero denominator")
-        if not np.any(self.piece_hat):
+        if self._peak == 0.0:
             return 0.0  # fhat vanishes on supp psi_k; the bound is trivially met
-        dxi = _forward_raw(self.grid, -1j * self.grid.x * self.phys.values)
-        return 2.0**self.k * l2_norm_spectral(SpectralFunction(self.grid, dxi)) / denom
+        a, b, mag, minus_ix = _workspace(self.grid)
+        np.multiply(minus_ix, self.phys.values, out=a)
+        dxi = _forward_raw(self.grid, a, out=b)
+        return 2.0**self.k * _l2(dxi, self.grid.xi_spacing, mag) / denom
 
     def lemma2(self, s: float, denom: float) -> float:
         """||psi_k fhat||_{L^inf} / (||P_k f||_{L^2} + 2^{-sk} denom)."""
-        if not np.any(self.piece_hat):
+        if self._peak == 0.0:
             if denom == 0.0:
                 raise UndefinedRatioError("zero denominator")
             return 0.0  # fhat vanishes on supp psi_k; the bound is trivially met
-        piece_l2 = (l2_norm_spectral(SpectralFunction(self.grid, self.piece_hat))
+        piece_l2 = (_l2(self.piece_hat, self.grid.xi_spacing, _workspace(self.grid)[2])
                     / np.sqrt(2.0 * np.pi))
         total = piece_l2 + 2.0 ** (-s * self.k) * denom
         if total == 0.0:
             raise UndefinedRatioError("zero denominator")
-        return float(np.max(np.abs(self.piece_hat))) / total
+        return self._peak / total
 
 
 def _lemma_denominator(f: SampledFunction) -> float:

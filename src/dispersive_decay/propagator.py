@@ -95,11 +95,16 @@ def _phase(grid: GridSpec, alpha: float) -> np.ndarray:
 
 
 def _multiplier(grid: GridSpec, t: float, alpha: float) -> np.ndarray:
-    """exp(i t |xi|^alpha) on the grid, mirrored onto xi < 0: bit for bit the full-axis exp."""
+    """exp(i t |xi|^alpha) on the grid, mirrored onto xi < 0: bit for bit the full-axis exp.
+
+    For t != 0, 1j * t * phase is exactly +0 + i (t * phase), whose exp is (cos, sin) of t * phase.
+    """
     phase = _phase(grid, alpha)
     m = grid.size // 2
     mult = np.empty(grid.size, dtype=np.complex128)
-    mult[m:] = np.exp(1j * t * phase[m:])
+    y = t * phase[m:]
+    np.cos(y, out=mult.real[m:])
+    np.sin(y, out=mult.imag[m:])
     mult[:1] = np.exp(1j * t * phase[:1])
     mult[1:m] = mult[:m:-1]
     return mult

@@ -7,6 +7,7 @@ import pytest
 
 from dispersive_decay.calculus import (
     NormBundle,
+    _abs_xi_power,
     fractional_derivative,
     hs_norm,
     locate_sup,
@@ -22,7 +23,13 @@ from dispersive_decay.errors import (
     ParameterError,
     SingularMultiplierError,
 )
-from dispersive_decay.grid import GridSpec, SampledFunction
+from dispersive_decay.grid import (
+    GridSpec,
+    SampledFunction,
+    _inverse_raw,
+    l2_norm_physical,
+    l2_norm_spectral,
+)
 from dispersive_decay.propagator import evolve_spectral, evolve_quadrature
 from dispersive_decay.grid import forward_ft
 from dispersive_decay.schwartz import generate_schwartz, schwartz_sample
@@ -69,6 +76,17 @@ class TestFractionalDerivative:
     def test_order_too_negative(self, grid40):
         with pytest.raises(ParameterError):
             fractional_derivative(gaussian(grid40), -1.0)
+
+    def test_shared_multiplier_is_bit_equal_and_read_only(self, grid40):
+        f = gaussian(grid40, a=0.5, b=3.0)
+        xi = grid40.xi
+        for s in (0.5, 0.7, 1.0, 2.0):
+            mult = np.zeros_like(xi)
+            mult[xi != 0.0] = np.abs(xi[xi != 0.0]) ** s
+            plain = _inverse_raw(grid40, mult * f.spectrum.values)
+            got = fractional_derivative(f, s).values
+            np.testing.assert_array_equal(got.view(np.uint64), plain.view(np.uint64))
+            assert not _abs_xi_power(grid40, s).flags.writeable
 
     def test_linearity(self, grid40):
         f = gaussian(grid40, a=1.0, b=4.0)
@@ -145,6 +163,22 @@ class TestNorms:
         assert abs(lp_norm(f, np.inf) - 1.0) < 1e-12
         with pytest.raises(ParameterError):
             lp_norm(f, 3)
+
+    def test_trapezoid_sums_are_bit_equal_to_plain_forms(self, grid200):
+        # every L^p and L^2 norm goes through one trapezoid sum; it keeps the
+        # bits of np.sum(w * np.abs(values) ** p)
+        f = schwartz_sample(grid200, 3, 1)
+        w_x = np.full(grid200.size, grid200.spacing)
+        w_x[[0, -1]] *= 0.5
+        w_xi = w_x / grid200.spacing * grid200.xi_spacing
+        for p in (1, 2, 4):
+            assert lp_norm(f, p) == float(np.sum(w_x * np.abs(f.values) ** p) ** (1.0 / p))
+        assert lp_norm(f, "inf") == float(np.max(np.abs(f.values)))
+        assert l2_norm_physical(f) == float(np.sqrt(np.sum(w_x * np.abs(f.values) ** 2)))
+        hat = f.spectrum.values
+        assert l2_norm_spectral(f.spectrum) == float(np.sqrt(np.sum(w_xi * np.abs(hat) ** 2)))
+        integrand = grid200.x * spectral_derivative(f).values
+        assert weighted_norm(f) == float(np.sqrt(np.sum(w_x * np.abs(integrand) ** 2)))
 
 
 class TestSup:

@@ -309,6 +309,23 @@ class TestLemmaSuites:
                                        [np.max(ref), np.median(ref)], rtol=1e-12,
                                        err_msg=row["check"])
 
+    def test_bernstein_rows_bit_equal_to_lp_norm_of_project(self):
+        # the engine's norms are lp_norm's operations on the same P_k f
+        cfg = SuiteConfig(seed=0, n_samples=2)
+        exponents = {"bern_1_2": (1, 2), "bern_2_4": (2, 4), "bern_2_inf": (2, np.inf)}
+        rows = {name: [] for name in exponents}
+        for i in range(cfg.n_samples):
+            f = schwartz_sample(self.GRID, cfg.seed, i)
+            for k in range(cfg.k_range[0], cfg.k_range[1] + 1):
+                if resolvable_k(self.GRID, k):
+                    piece = project(f, k)
+                    for name, (p, q) in exponents.items():
+                        rows[name].append(lp_norm(piece, q) / (
+                            2.0 ** (k * (1.0 / p - 1.0 / q)) * lp_norm(piece, p)))
+        for row in run_lemma_suites(cfg, self.GRID, rows=harness._SUITE_ROWS[:3]):
+            assert (row["max"], row["median"]) == (np.max(rows[row["check"]]),
+                                                   np.median(rows[row["check"]])), row["check"]
+
     def test_transforms_per_sample(self, fft_calls):
         # one spectrum and the weighted norm's inverse transform per sample,
         # then P_k f, |D| P_k f and the transform of -i x P_k f per usable k

@@ -8,14 +8,22 @@ from dispersive_decay.errors import (
     ParameterError,
     UndefinedRatioError,
 )
-from dispersive_decay.grid import GridSpec, SampledFunction, forward_ft
+from dispersive_decay import littlewood_paley
+from dispersive_decay.calculus import lp_norm
+from dispersive_decay.grid import GridSpec, SampledFunction, SpectralFunction, forward_ft, inverse_ft
+from dispersive_decay.harness import _ROW_RATIOS, LEMMA_GRID
 from dispersive_decay.littlewood_paley import (
+    _lemma_denominator,
+    _Piece,
+    _windowed_piece,
+    _workspace,
     bernstein_derivative_ratio,
     bernstein_ratio,
     lemma1_ratio,
     lemma2_ratio,
     make_bump,
     project,
+    resolvable_k,
 )
 from dispersive_decay.schwartz import schwartz_sample
 
@@ -217,3 +225,69 @@ class TestLemmaRatios:
         for s in (0.6, 0.9, 0.75):
             v = lemma2_ratio(f, 2, s)
             assert np.isfinite(v) and v >= 0
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestPieceEngine:
+    """_Piece at its transforms: a windowed bump, one workspace per grid, one norm per (piece, p)."""
+
+    @pytest.mark.parametrize("sharpness", [0.5, 1.0, 10.0])
+    def test_windowed_bump_is_bit_equal(self, sharpness):
+        bump = make_bump(sharpness)
+        # pi / L = 1 puts the nodes on the integers, so 2^{k-1} and 2^{k+1} are nodes
+        node_grid = GridSpec(half_width=np.pi, size=256)
+        assert {2.0 ** k for k in range(0, 7)} <= set(np.abs(node_grid.xi))
+        for grid in (LEMMA_GRID, GridSpec(half_width=4.0, size=16), node_grid):
+            ks = [k for k in range(-12, 12) if resolvable_k(grid, k)]
+            assert len(ks) >= 2
+            out = np.empty(grid.size)
+            for k in ks:
+                np.testing.assert_array_equal(bits(_windowed_piece(bump, grid, k, out)),
+                                              bits(bump.dyadic_piece(grid.xi, k)),
+                                              err_msg=f"{grid}, k = {k}")
+
+    def test_escaping_arrays_own_their_memory(self, grid200):
+        # every row of every piece runs; the arrays a piece hands out keep
+        # their bits and share no memory with the grid's workspace
+        f = schwartz_sample(grid200, 0, 1)
+        denom = _lemma_denominator(f)
+        pieces = [_Piece(f, k, make_bump()) for k in range(-4, 6)]
+        kept = []
+        for piece in pieces:
+            for ratio in _ROW_RATIOS.values():
+                ratio(piece, denom)
+            kept.append((bits(piece.piece_hat).copy(), bits(piece.phys.values).copy()))
+        workspace = _workspace(grid200)
+        for piece, (piece_hat, phys) in zip(pieces, kept):
+            np.testing.assert_array_equal(bits(piece.piece_hat), piece_hat)
+            np.testing.assert_array_equal(bits(piece.phys.values), phys)
+            for arr in (piece.piece_hat, piece.phys.values):
+                assert not any(np.shares_memory(arr, buf) for buf in workspace)
+        assert _workspace(grid200) is workspace
+
+    def test_one_norm_per_piece_and_p(self, grid200, monkeypatch):
+        # four norms of P_k f and one of |D| P_k f, however many rows read them
+        calls = []
+        lp = littlewood_paley._lp
+        monkeypatch.setattr(littlewood_paley, "_lp", lambda *a: calls.append(a[2]) or lp(*a))
+        f = schwartz_sample(grid200, 0, 1)
+        piece = _Piece(f, 2, make_bump())
+        denom = _lemma_denominator(f)
+        for ratio in _ROW_RATIOS.values():
+            ratio(piece, denom)
+        assert sorted(calls, key=float) == [1, 2, 2, 4, np.inf]
+
+    @pytest.mark.parametrize("p", [1, 4, np.inf])
+    def test_derivative_ratio_matches_lp_norm(self, grid200, p):
+        f = schwartz_sample(grid200, 0, 2)
+        bump = make_bump()
+        for s in (0.5, 1.0):
+            for k in (-2, 0, 3):
+                piece_hat = bump.dyadic_piece(grid200.xi, k) * f.spectrum.values
+                dpiece = inverse_ft(SpectralFunction(grid200, np.abs(grid200.xi) ** s * piece_hat))
+                lhs = lp_norm(project(f, k), p)
+                rhs = 2.0 ** (-s * k) * lp_norm(dpiece, p)
+                assert bernstein_derivative_ratio(f, k, s, p) == (lhs / rhs, rhs / lhs)

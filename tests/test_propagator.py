@@ -106,10 +106,15 @@ class TestEvolveSpectral:
             with pytest.raises(InvalidInputError):
                 evolve_spectral(f, t, 0.5)
 
-    @pytest.mark.parametrize("alpha", [0.5, 0.45, 0.4, 0.35])
+    @pytest.mark.parametrize("alpha", [0.5, 0.45, 0.4, 0.35, 0.75])
     def test_mirrored_multiplier_is_bit_equal(self, alpha):
-        for grid in (SuiteConfig().grid(), GridSpec(half_width=4.0, size=16)):
-            for t in DYADIC_TIMES + (0.37,):
+        # the multiplier is (cos, sin) of t |xi|^alpha on xi >= 0, mirrored; it
+        # must equal the full-axis complex exp bit for bit, at negative t (where
+        # t * 0 is -0) and at large t too
+        grids = (SuiteConfig().grid(), GridSpec(half_width=4.0, size=16),
+                 GridSpec(half_width=200.0, size=32768))
+        for grid in grids:
+            for t in DYADIC_TIMES + (0.37, -0.37, -1024.0, 3.3e7):
                 full = np.exp(1j * t * _phase(grid, alpha))
                 mirrored = _multiplier(grid, t, alpha)
                 np.testing.assert_array_equal(mirrored.view(np.uint64), full.view(np.uint64))
