@@ -7,6 +7,11 @@ The outputs are
 
 * ``verify-decay --samples 4`` at seeds 0-1 and alpha 0.5, 0.45, 0.4, 0.35
   (exit code, standard output and CSV);
+* the pinned default ``verify-decay`` (20 samples, seed 0, alpha 0.5);
+* ``verify-decay`` with 2 samples at t = 1024 on a 2^13 grid of half-width
+  256, band 0.5:8: the wrap guard trips and the quadrature sup runs for
+  both samples, the configuration of ``test_auto_policy_switches_to_quadrature``
+  with one sample more;
 * ``trace-proof --band 0.5:8`` at seeds 0-4 (the same three);
 * the lemma tables of ``run_lemma_suites`` (5 samples) at seeds 0, 1 and 7,
   every float as hex;
@@ -56,6 +61,10 @@ def outputs():
             yield (f"verify-decay/seed{seed}/alpha{alpha}",
                    lambda s=seed, a=alpha: cli_output(
                        ["verify-decay", "--seed", str(s), "--alpha", a, "--samples", "4"]))
+    yield "verify-decay/pinned-default", lambda: cli_output(["verify-decay"])
+    yield "verify-decay/quadrature-fallback/2-samples", lambda: cli_output(
+        ["verify-decay", "--samples", "2", "--t-grid", "1024", "--half-width", "256",
+         "--grid-n", "8192", "--band", "0.5:8"])
     for seed in range(5):
         yield (f"trace-proof/seed{seed}",
                lambda s=seed: cli_output(["trace-proof", "--seed", str(s), "--band", "0.5:8"]))

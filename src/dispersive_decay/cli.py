@@ -60,14 +60,20 @@ def _add_common(p: argparse.ArgumentParser, half_width_default: float):
 
 
 def _parse_band(s: str) -> tuple:
-    lo, _, hi = s.partition(":")
-    return (float(lo), float(hi))
+    try:
+        lo, hi = (float(v) for v in s.split(":"))
+    except ValueError:
+        raise ParameterError(f"--band must be lo:hi, got {s!r}") from None
+    return (lo, hi)
 
 
 def _parse_times(s: str) -> tuple:
     if s == "dyadic":
         return DYADIC_TIMES
-    return tuple(float(v) for v in s.split(","))
+    try:
+        return tuple(float(v) for v in s.split(","))
+    except ValueError:
+        raise ParameterError(f"--t-grid must be 'dyadic' or a list a,b,..., got {s!r}") from None
 
 
 def _config(args) -> SuiteConfig:

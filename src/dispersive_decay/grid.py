@@ -250,13 +250,20 @@ def _check_finite(f, who):
 
 
 def _forward_raw(grid: GridSpec, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """h * sum_n f(x_n) exp(-i xi_j x_n) for all j, via FFT; with ``out``, it may overwrite ``values``."""
+    """h * sum_n f(x_n) exp(-i xi_j x_n) for all j, via FFT; with ``out``, it may overwrite ``values``.
+
+    Without ``out``, the result is shifted in the FFT's own output array, which
+    holds one half aside while its halves swap.
+    """
     F = scipy.fft.fft(np.asarray(values, dtype=np.complex128), overwrite_x=out is not None)
-    out = np.empty_like(F) if out is None else out
     h, m = grid.spacing, grid.size // 2
+    if out is None:
+        out, lower = F, F[:m].copy()
+    else:
+        lower = F[:m]
     # (h signs) * fftshift(F), written half by half; signs_j = (-1)^j and m is
     # even, so each half of the signs runs +1, -1, ... and needs no array
-    for dst, src in ((out[:m], F[m:]), (out[m:], F[:m])):
+    for dst, src in ((out[:m], F[m:]), (out[m:], lower)):
         np.multiply(src[::2], h, out=dst[::2])
         np.multiply(src[1::2], -h, out=dst[1::2])
     return out
@@ -265,20 +272,26 @@ def _forward_raw(grid: GridSpec, values: np.ndarray, out: np.ndarray | None = No
 def _inverse_raw(grid: GridSpec, hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Exact inverse of _forward_raw (equals the Riemann sum of the inversion integral).
 
-    A complex ``hat`` may pass ``out``, a complex N-array (not ``hat``) for the FFT to run in.
+    A complex ``hat`` may pass ``out``, a complex N-array for the FFT to run in.
+    ``out`` may be ``hat`` itself, which then holds one half aside while its halves swap.
     """
     signs, m = grid._signs(), grid.size // 2
     # ifftshift(hat signs) / h in place; a real hat is divided while still real
     F = np.empty(grid.size, dtype=np.result_type(hat, signs)) if out is None else out
-    np.multiply(hat[m:], signs[m:], out=F[:m])
-    np.multiply(hat[:m], signs[:m], out=F[m:])
+    if out is hat:
+        upper = hat[m:] * signs[m:]
+        np.multiply(hat[:m], signs[:m], out=F[m:])
+        F[:m] = upper
+        del upper  # freed before the FFT's own scratch is taken
+    else:
+        np.multiply(hat[m:], signs[m:], out=F[:m])
+        np.multiply(hat[:m], signs[:m], out=F[m:])
     F /= grid.spacing
     return scipy.fft.ifft(F.astype(np.complex128, copy=False), overwrite_x=True)
 
 
-def _edge_exceeds(values: np.ndarray, rtol: float) -> bool:
-    """True when |values| in the outer 5% at either end exceeds rtol times its peak."""
-    mag = np.abs(values)
+def _edge_exceeds(mag: np.ndarray, rtol: float) -> bool:
+    """True when ``mag`` (magnitudes) in the outer 5% at either end exceeds rtol times its peak."""
     peak = float(np.max(mag))
     edge = max(1, int(0.05 * mag.size))
     boundary = max(float(np.max(mag[:edge])), float(np.max(mag[-edge:])))
@@ -289,7 +302,7 @@ def forward_ft(f: SampledFunction) -> SpectralFunction:
     """Discrete approximation of fhat(xi) = int f(x) exp(-i xi x) dx on the dual grid."""
     _check_finite(f, "forward_ft")
     notes = ()
-    if _edge_exceeds(f.values, 1e-14):
+    if _edge_exceeds(np.abs(f.values), 1e-14):
         msg = (
             "input does not decay below 1e-14 (relative) in the outer 5% of "
             "the grid; the transform is contaminated by periodization"

@@ -187,7 +187,8 @@ def evolve_spectral(phi: SampledFunction, t: float, alpha: float = 0.5) -> Sampl
             )
     mult = _multiplier(phi.grid, t, alpha)
     mult *= hat
-    return SampledFunction(phi.grid, _inverse_raw(phi.grid, mult), phi.band_limit, _adopt=True)
+    return SampledFunction(phi.grid, _inverse_raw(phi.grid, mult, out=mult), phi.band_limit,
+                           _adopt=True)
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ def schwartz_params(seed: int, index: int):
     return widths, centers, freqs, coeffs
 
 
-def schwartz_sample(grid: GridSpec, seed: int, index: int) -> SampledFunction:
-    """Unfiltered random Schwartz sample: sum of c_i exp(-a_i (x-x0_i)^2 + i b_i x)."""
+def _mixture(grid: GridSpec, seed: int, index: int) -> np.ndarray:
+    """sum of c_i exp(-a_i (x-x0_i)^2 + i b_i x) on the grid, as a fresh complex N-array."""
     widths, centers, freqs, coeffs = schwartz_params(seed, index)
     x = grid.x
     vals = np.zeros(grid.size, dtype=np.complex128)
@@ -46,7 +46,12 @@ def schwartz_sample(grid: GridSpec, seed: int, index: int) -> SampledFunction:
         lo, hi = np.searchsorted(x, (x0 - r, x0 + r))
         xs = x[lo:hi]
         vals[lo:hi] += c * np.exp(-a * (xs - x0) ** 2 + 1j * b * xs)
-    return SampledFunction(grid, vals, _adopt=True)
+    return vals
+
+
+def schwartz_sample(grid: GridSpec, seed: int, index: int) -> SampledFunction:
+    """Unfiltered random Schwartz sample: sum of c_i exp(-a_i (x-x0_i)^2 + i b_i x)."""
+    return SampledFunction(grid, _mixture(grid, seed, index), _adopt=True)
 
 
 def band_window(xi: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -81,7 +86,9 @@ def generate_schwartz(seed: int, index: int, band: tuple, grid: GridSpec) -> Sam
             f"band lower edge {lo:g} is not below the Nyquist frequency {grid.nyquist:g}"
         )
     hi_eff = min(hi, 0.95 * grid.nyquist)
-    raw = schwartz_sample(grid, seed, index)
-    hat = _forward_raw(grid, raw.values)
-    filtered = _grid_band_window(grid, lo, hi_eff) * hat
-    return SampledFunction(grid, _inverse_raw(grid, filtered), band_limit=hi_eff, _adopt=True)
+    # the mixture is transformed in its own buffer, and the band-passed sample
+    # is formed back in it: two N-arrays in flight, bit for bit the plain form
+    raw = _mixture(grid, seed, index)
+    hat = _forward_raw(grid, raw, out=np.empty_like(raw))
+    hat *= _grid_band_window(grid, lo, hi_eff)
+    return SampledFunction(grid, _inverse_raw(grid, hat, out=raw), band_limit=hi_eff, _adopt=True)

@@ -144,6 +144,17 @@ class TestNorms:
         w_spec = np.sqrt(np.sum(np.abs(dg) ** 2) * grid40.xi_spacing / (2.0 * np.pi))
         assert abs(w_phys - w_spec) / w_phys < 1e-10
 
+    def test_derivative_is_bit_equal_to_plain_form(self, grid200):
+        # the multiplier is formed, raised and applied in one buffer, which the
+        # inverse transform then runs in
+        f = schwartz_sample(grid200, 3, 1)
+        hat = f.spectrum.values
+        for order in (1, 2, 3):
+            want = _inverse_raw(grid200, (1j * grid200.xi) ** order * hat)
+            got = spectral_derivative(f, order).values
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert not np.shares_memory(spectral_derivative(f).values, hat)
+
     def test_weighted_warns_without_edge_decay(self):
         # x f'(x) is visibly nonzero at |x| = 2
         f = gaussian(GridSpec(half_width=2.0, size=64), a=0.5)

@@ -170,8 +170,8 @@ class TestSpectrum:
         f = gaussian(grid40, b=2.0)
         formed = []
 
-        def spy(grid, hat):
-            formed.append(_inverse_raw(grid, hat))
+        def spy(grid, hat, out=None):
+            formed.append(_inverse_raw(grid, hat, out=out))
             return formed[-1]
 
         monkeypatch.setattr(propagator, "_inverse_raw", spy)
@@ -211,6 +211,11 @@ class TestTransformBits:
             scratch, out = v.copy(), np.empty(n, np.complex128)
             np.testing.assert_array_equal(bits(_forward_raw(g, scratch, out=out)), bits(forward))
             np.testing.assert_array_equal(bits(_inverse_raw(g, v, out=out)), bits(inverse))
+            # the in-place route: the input's own buffer, its halves swapped
+            own = v.copy()
+            got = _inverse_raw(g, own, out=own)
+            np.testing.assert_array_equal(bits(got), bits(inverse))
+            assert np.shares_memory(got, own)
 
     def test_signed_zeros_of_a_sparse_spectrum(self):
         # numpy divides a complex entry by h as ((re + im 0), (im - re 0)) / h,
@@ -223,6 +228,7 @@ class TestTransformBits:
         hat.real[14] = 1.0
         inverse = np.fft.ifft(np.fft.ifftshift(hat * g._signs()) / g.spacing)
         np.testing.assert_array_equal(bits(_inverse_raw(g, hat)), bits(inverse))
+        np.testing.assert_array_equal(bits(_inverse_raw(g, hat, out=hat)), bits(inverse))
 
 
 class TestForward:

@@ -1,12 +1,19 @@
 """Harness pipeline, CSV contract, and CLI exit codes."""
 
+import dataclasses
 import math
+import os
+import sys
+import threading
+import time
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.fft
 
-from dispersive_decay import harness, pins
+from dispersive_decay import harness, pins, propagator
 from dispersive_decay.calculus import (
     fractional_derivative,
     locate_sup,
@@ -212,6 +219,155 @@ class TestRunDecay:
         assert ratios[1024.0] <= 1.1 * early
 
 
+@pytest.fixture
+def width(monkeypatch):
+    """Sets the fan-out's CPU count, and so its width, for the rest of the test."""
+    def force(n: int):
+        monkeypatch.setattr(harness, "_cpus", lambda: n)
+    return force
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The list that grows by one on every thread started."""
+    starts = []
+    start = threading.Thread.start
+
+    def counted(self):
+        starts.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return starts
+
+
+class TestFanOut:
+    """run_decay runs its samples on one thread per CPU, with the serial loop's results."""
+
+    def test_reports_equal_at_widths_1_and_2(self, width):
+        # a 2^15 grid, so that the two threads' evolutions overlap in time
+        cfg = SuiteConfig(seed=0, n_samples=4, alpha=0.45, times=(1.0, 4.0, 16.0, 64.0, 256.0),
+                          half_width=2048.0, grid_n=32768, band=(0.5, 8.0))
+        width(1)
+        serial = run_decay(cfg)
+        width(2)
+        fanned = run_decay(cfg)
+        assert [r.sample for r in fanned] == [0, 1, 2, 3]
+        # every field but the norm bundle, argmax_x and backends included, floats with ==
+        assert fanned == serial
+        assert [r.norm_bundle for r in fanned] == [r.norm_bundle for r in serial]
+
+    def test_results_in_input_order(self, width):
+        # the earlier an item, the later it finishes
+        def late_for_early(i):
+            time.sleep(0.05 * (4 - i))
+            return i
+
+        width(2)
+        assert harness._fan_out(late_for_early, range(4)) == [0, 1, 2, 3]
+
+    def test_forced_quadrature_equal_at_widths_1_and_2(self, width):
+        cfg = SuiteConfig(seed=0, n_samples=2, times=(1.0,), half_width=64.0, grid_n=2048,
+                          band=(0.5, 4.0), backend="quadrature")
+        width(1)
+        serial = run_decay(cfg)
+        width(2)
+        fanned = run_decay(cfg)
+        assert [r.backends for r in fanned] == [("quadrature",)] * 2
+        assert fanned == serial
+        assert [r.norm_bundle for r in fanned] == [r.norm_bundle for r in serial]
+
+    def test_first_degenerate_sample_in_index_order_is_raised(self, width, monkeypatch):
+        # samples 2 and 3 have an empty band; at width 2, sample 3 fails first in time
+        def generate(seed, index, band, grid):
+            if index == 2:
+                time.sleep(0.3)
+            if index in (2, 3):
+                return SampledFunction(grid, np.zeros(grid.size))
+            return generate_schwartz(seed, index, band, grid)
+
+        monkeypatch.setattr(harness, "generate_schwartz", generate)
+        messages = []
+        for n in (1, 2):
+            width(n)
+            with pytest.raises(harness.SuiteDegenerateError) as exc:
+                run_decay(dataclasses.replace(FAST, n_samples=4))
+            messages.append(str(exc.value))
+        assert messages[0].startswith("sample 2: band (0.5, 8.0) holds no occupied frequency")
+        assert messages[1] == messages[0]
+
+    def test_width_1_starts_no_thread(self, width, thread_starts):
+        width(1)
+        run_decay(FAST)
+        assert thread_starts == []
+        width(2)
+        assert harness._fan_out(lambda i: i * i, [3]) == [9]  # one item: no thread either
+        assert thread_starts == []
+        run_decay(FAST)
+        assert len(thread_starts) >= 1
+
+    def test_stress_more_threads_than_cores_with_cold_caches(self, width):
+        # six threads switching every microsecond all miss the phase and window
+        # caches at once; each sample must still see exactly the serial numbers
+        cfg = SuiteConfig(seed=5, n_samples=6, alpha=0.4, times=(1.0, 8.0),
+                          half_width=256.0, grid_n=4096, band=(0.5, 8.0))
+        width(1)
+        serial = run_decay(cfg)
+        width(6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                schwartz._grid_band_window.cache_clear()
+                propagator._phase.cache_clear()
+                fanned = run_decay(cfg)
+                assert fanned == serial
+                assert [r.norm_bundle for r in fanned] == [r.norm_bundle for r in serial]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_width_is_the_smaller_of_items_and_cpus(self, width, monkeypatch):
+        seen = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", Pool)
+        for cpus, items in ((2, range(5)), (8, range(3)), (3, range(3))):
+            width(cpus)
+            assert harness._fan_out(lambda i: -i, items) == [-i for i in items]
+        assert seen == [2, 3, 3]
+
+    def test_cpus_read_from_the_affinity_mask(self):
+        assert harness._cpus() == len(os.sched_getaffinity(0))
+
+    def test_one_sample_holds_under_four_n_arrays(self):
+        # the mixture is band-passed in its own buffer, each evolution is inverse
+        # transformed in its multiplier's buffer and dropped before the next one,
+        # and x f' is formed in the buffer of f': the traced peak of one sample
+        # stays below four complex N-arrays (pocketfft's own scratch is not traced)
+        cfg = SuiteConfig(seed=0, n_samples=1, times=(1.0, 4.0, 16.0))
+        grid = cfg.grid()
+        harness._decay_report(cfg, grid, 0)  # the window, phase and axes are built
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            harness._decay_report(cfg, grid, 1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            phi = generate_schwartz(0, 2, cfg.band, grid)
+            generator_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        n_array = 16 * grid.size
+        assert peak < 3.75 * n_array
+        assert generator_peak < 2.25 * n_array  # the sample and one spectrum
+        assert phi.values.nbytes == n_array
+
+
 class TestSuiteConfig:
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -415,6 +571,12 @@ class TestCli:
 
     def test_invalid_band_exit_2(self):
         assert main(["verify-decay", "--band", "5:1", "--samples", "1"]) == 2
+
+    @pytest.mark.parametrize("flags", [["--band", "8"], ["--band", "1:2:3"],
+                                       ["--t-grid", "1,x"]])
+    def test_malformed_band_or_times_exit_2(self, flags, capsys):
+        assert main(["verify-decay", "--samples", "1", *flags]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
 
     def test_invalid_alpha_exit_2(self):
         assert main(["stationary-point", "--time", "8", "--x", "-1",
