@@ -16,7 +16,6 @@ from .calculus import (
     lp_norm,
     norms,
     spectral_derivative,
-    sup_norm,
     weighted_norm,
 )
 from .grid import (

@@ -40,7 +40,6 @@ __all__ = [
     "hs_norm",
     "weighted_norm",
     "norms",
-    "sup_norm",
     "locate_sup",
 ]
 
@@ -158,12 +157,10 @@ def weighted_norm(f: SampledFunction) -> float:
     return float(np.sqrt(_trapezoid_sum(mag, trapezoid_weights(mag.size, f.grid.spacing), 2)))
 
 
-def norms(f: SampledFunction, extra_s: tuple = ()) -> NormBundle:
-    """L^2, H^1, weighted, and any extra H^s norms of f."""
+def norms(f: SampledFunction) -> NormBundle:
+    """L^2, H^1, weighted and H^{3/4} norms of f."""
     _check_finite(f, "norms")
     hs = {1.0: hs_norm(f, 1.0), 0.75: hs_norm(f, 0.75)}
-    for s in extra_s:
-        hs[float(s)] = hs_norm(f, float(s))
     return NormBundle(
         l2=l2_norm_physical(f),
         h1=hs[1.0],
@@ -196,7 +193,3 @@ def locate_sup(f: SampledFunction) -> SupResult:
     delta = float(np.clip(delta, -0.5, 0.5))
     value = y0 - 0.25 * (ym - yp) * delta
     return SupResult(float(value), float(f.grid.x[i] + delta * f.grid.spacing))
-
-
-def sup_norm(f: SampledFunction) -> float:
-    return locate_sup(f).value

@@ -8,6 +8,7 @@ function of its flags and seed; CSV files are the output contract.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -21,14 +22,12 @@ from .errors import (
     ParameterError,
     SuiteDegenerateError,
 )
-from .grid import GridSpec
 from .harness import (
     DYADIC_TIMES,
     TRACE_GRID,
     TRACE_SUITE_TIMES,
     SuiteConfig,
     decay_rows,
-    run_bernstein_suite,
     run_decay,
     run_lemma_suites,
     run_trace,
@@ -43,20 +42,32 @@ EXIT_BAD_CONFIG = 2
 EXIT_GUARD_FAILURE = 3
 
 
-def _add_common(p: argparse.ArgumentParser, half_width_default: float):
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--grid-n", type=int, default=131072)
-    p.add_argument("--half-width", type=float, default=half_width_default)
-    p.add_argument("--band", type=str, default="0.25:32",
-                   help="spectral band as lo:hi")
-    p.add_argument("--t-grid", type=str, default="dyadic",
-                   help="'dyadic' or a comma-separated list of times")
-    p.add_argument("--backend", choices=["auto", "spectral", "quadrature"],
-                   default="auto")
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--allow-empty-band", action="store_true")
+# every flag of the commands; --half-width and --time take their defaults per command
+_FLAGS = {
+    "--alpha": dict(type=float, default=0.5),
+    "--seed": dict(type=int, default=0),
+    "--samples": dict(type=int, default=20),
+    "--grid-n": dict(type=int, default=131072),
+    "--half-width": dict(type=float),
+    "--band": dict(type=str, default="0.25:32", help="spectral band as lo:hi"),
+    "--t-grid": dict(type=str, default="dyadic",
+                     help="'dyadic' or a comma-separated list of times"),
+    "--backend": dict(choices=["auto", "spectral", "quadrature"], default="auto"),
+    "--out": dict(type=str, default=None),
+    "--allow-empty-band": dict(action="store_true"),
+    "--time": dict(type=float),
+    "--dt": dict(type=float, default=1e-3),
+}
+
+# the parsed flags that set a SuiteConfig field of another name
+_FIELD_NAMES = {"samples": "n_samples", "t_grid": "times"}
+
+
+def _add_flags(p: argparse.ArgumentParser, flags: str, **defaults):
+    # the space-separated flags, as _FLAGS has them; ``defaults`` holds the command's own
+    for flag in flags.split():
+        p.add_argument(flag, **_FLAGS[flag])
+    p.set_defaults(**defaults)
 
 
 def _parse_band(s: str) -> tuple:
@@ -77,26 +88,32 @@ def _parse_times(s: str) -> tuple:
 
 
 def _config(args) -> SuiteConfig:
-    return SuiteConfig(
-        seed=args.seed,
-        n_samples=args.samples,
-        alpha=args.alpha,
-        times=_parse_times(args.t_grid),
-        half_width=args.half_width,
-        grid_n=args.grid_n,
-        band=_parse_band(args.band),
-        backend=args.backend,
-        out=args.out,
-        allow_empty_band=args.allow_empty_band,
-    )
+    """The SuiteConfig of the flags the command registered; the other fields keep their defaults."""
+    given = {_FIELD_NAMES.get(dest, dest): value for dest, value in vars(args).items()}
+    fields = {f.name: given[f.name] for f in dataclasses.fields(SuiteConfig) if f.name in given}
+    if "band" in fields:
+        fields["band"] = _parse_band(fields["band"])
+    if "times" in fields:
+        fields["times"] = _parse_times(fields["times"])
+    return SuiteConfig(**fields)
+
+
+def _decay_pin(config: SuiteConfig):
+    """The DECAY_MAX_RATIO pin of this run, if its samples are a prefix of the suite the pins
+    are maxima of: SuiteConfig's grid, band and time grid, and at most its 20 samples."""
+    suite = SuiteConfig()
+    if (config.grid() == suite.grid() and config.band == suite.band
+            and config.times == suite.times and config.n_samples <= suite.n_samples):
+        return pins.DECAY_MAX_RATIO.get((config.seed, config.alpha))
+    return None
 
 
 def cmd_verify_decay(args) -> int:
     config = _config(args)
     reports = run_decay(config)
     rows = decay_rows(reports)
-    if config.out:
-        write_csv(rows, config.out)
+    if args.out:
+        write_csv(rows, args.out)
     status = EXIT_PASS
     global_max = 0.0
     early, late = [], []
@@ -109,7 +126,7 @@ def cmd_verify_decay(args) -> int:
         global_max = max(global_max, max(finite))
         early.extend(v for t, v in zip(r.times, r.ratios) if t <= 64)
         late.extend(v for t, v in zip(r.times, r.ratios) if t >= 512)
-    pinned = pins.DECAY_MAX_RATIO.get((config.seed, config.alpha))
+    pinned = _decay_pin(config)
     print(f"max R(t) over suite: {global_max:.6g} (pinned: {pinned})")
     if early and late:
         # Diagnostic only: ratio of the suite's late-window maximum to its
@@ -123,10 +140,9 @@ def cmd_verify_decay(args) -> int:
     return status
 
 
-def _suite_command(args, runner) -> int:
+def cmd_lemma_suite(args) -> int:
     config = _config(args)
-    grid = GridSpec(half_width=args.half_width, size=args.grid_n)
-    table = runner(config, grid)
+    table = run_lemma_suites(config, config.grid())
     status = EXIT_PASS
     for row in table:
         pinned = row["pinned"]
@@ -141,20 +157,12 @@ def _suite_command(args, runner) -> int:
         print(line)
         if not ok:
             status = EXIT_PIN_EXCEEDED
-    if config.out:
+    if args.out:
         write_csv(
             [{k: v for k, v in row.items() if k != "skipped_k"} for row in table],
-            config.out,
+            args.out,
         )
     return status
-
-
-def cmd_lemma_suite(args) -> int:
-    return _suite_command(args, run_lemma_suites)
-
-
-def cmd_bernstein_suite(args) -> int:
-    return _suite_command(args, run_bernstein_suite)
 
 
 def cmd_trace_proof(args) -> int:
@@ -174,8 +182,8 @@ def cmd_trace_proof(args) -> int:
                 f"  ({row['section']}) = {row['magnitude']:.6e}  "
                 f"bound ratio = {row['bound_ratio']:.6g}"
             )
-    if config.out:
-        write_csv(result["rows"], config.out)
+    if args.out:
+        write_csv(result["rows"], args.out)
     if not _trace_pinned(config, args.time):
         print("pinned: none")
         return EXIT_PASS
@@ -250,33 +258,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-decay", help="decay ratio suite over dyadic times")
-    _add_common(p, 8192.0)
-    p.set_defaults(func=cmd_verify_decay)
+    _add_flags(p, "--alpha --seed --samples --grid-n --half-width --band --t-grid --backend "
+               "--out", func=cmd_verify_decay, half_width=8192.0)
 
-    p = sub.add_parser("lemma-suite", help="weighted-norm lemma ratio suite")
-    _add_common(p, 200.0)
-    p.set_defaults(func=cmd_lemma_suite)
-
-    p = sub.add_parser("bernstein-suite", help="Bernstein inequality ratio suite")
-    _add_common(p, 200.0)
-    p.set_defaults(func=cmd_bernstein_suite)
+    p = sub.add_parser("lemma-suite", help="Bernstein and weighted-norm lemma ratio suites")
+    _add_flags(p, "--seed --samples --grid-n --half-width --out",
+               func=cmd_lemma_suite, half_width=200.0)
 
     p = sub.add_parser("trace-proof", help="per-term proof trace at one time")
-    _add_common(p, TRACE_GRID.half_width)
-    p.add_argument("--time", type=float, default=float(2**12))
-    p.set_defaults(func=cmd_trace_proof, grid_n=TRACE_GRID.size)
+    _add_flags(p, "--alpha --seed --grid-n --half-width --band --out --allow-empty-band --time",
+               func=cmd_trace_proof, half_width=TRACE_GRID.half_width, grid_n=TRACE_GRID.size,
+               time=float(2**12))
 
     p = sub.add_parser("stationary-point", help="stationary point of the phase")
     p.add_argument("--time", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.set_defaults(func=cmd_stationary_point)
+    _add_flags(p, "--alpha", func=cmd_stationary_point)
 
     p = sub.add_parser("factorization-check", help="wave-equation factorization residual")
-    _add_common(p, 512.0)
-    p.add_argument("--time", type=float, default=5.0)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.set_defaults(func=cmd_factorization_check)
+    _add_flags(p, "--alpha --seed --grid-n --half-width --band --time --dt",
+               func=cmd_factorization_check, half_width=512.0, time=5.0)
 
     return parser
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 import scipy.fft
@@ -140,7 +140,6 @@ class SampledFunction(_ReadOnlyValues):
     grid: GridSpec
     values: np.ndarray
     band_limit: float | None = None
-    notes: tuple = field(default_factory=tuple, compare=False)
     _adopt: InitVar[bool] = False
 
     def __post_init__(self, _adopt):
@@ -153,9 +152,6 @@ class SampledFunction(_ReadOnlyValues):
                     "declared band_limit must lie strictly below the Nyquist "
                     f"frequency {self.grid.nyquist:g}"
                 )
-
-    def with_values(self, values) -> "SampledFunction":
-        return SampledFunction(self.grid, values, self.band_limit)
 
     @functools.cached_property
     def spectrum(self) -> "SpectralFunction":
@@ -173,14 +169,10 @@ class SpectralFunction(_ReadOnlyValues):
 
     grid: GridSpec
     values: np.ndarray
-    notes: tuple = field(default_factory=tuple, compare=False)
     _adopt: InitVar[bool] = False
 
     def __post_init__(self, _adopt):
         self._freeze_values(_adopt)
-
-    def with_values(self, values) -> "SpectralFunction":
-        return SpectralFunction(self.grid, values)
 
     @functools.cached_property
     def _peak(self) -> float:
@@ -301,15 +293,14 @@ def _edge_exceeds(mag: np.ndarray, rtol: float) -> bool:
 def forward_ft(f: SampledFunction) -> SpectralFunction:
     """Discrete approximation of fhat(xi) = int f(x) exp(-i xi x) dx on the dual grid."""
     _check_finite(f, "forward_ft")
-    notes = ()
     if _edge_exceeds(np.abs(f.values), 1e-14):
-        msg = (
+        warnings.warn(
             "input does not decay below 1e-14 (relative) in the outer 5% of "
-            "the grid; the transform is contaminated by periodization"
+            "the grid; the transform is contaminated by periodization",
+            BoundaryDecayWarning,
+            stacklevel=2,
         )
-        warnings.warn(msg, BoundaryDecayWarning, stacklevel=2)
-        notes = (msg,)
-    return SpectralFunction(f.grid, f.spectrum.values, notes=notes, _adopt=True)
+    return SpectralFunction(f.grid, f.spectrum.values, _adopt=True)
 
 
 def inverse_ft(F: SpectralFunction) -> SampledFunction:

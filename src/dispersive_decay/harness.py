@@ -29,7 +29,7 @@ from .errors import (
     UndefinedRatioError,
 )
 from .grid import _SUPPORT_RTOL, GridSpec, SampledFunction
-from .littlewood_paley import _lemma_denominator, _Piece, make_bump, resolvable_k
+from .littlewood_paley import _lemma_denominator, _Piece, resolvable_k
 from .propagator import SpectralAmplitude, evolve_quadrature, evolve_spectral, phase_speed
 from .proof_tracer import choose_l0, kernel_lower_bound, q0_estimate, trace_terms
 from .schwartz import generate_schwartz, schwartz_sample
@@ -39,7 +39,6 @@ __all__ = [
     "DecayReport",
     "run_decay",
     "run_lemma_suites",
-    "run_bernstein_suite",
     "run_trace",
     "run_trace_ratio_suite",
     "tracer_constant_suite",
@@ -63,9 +62,7 @@ class SuiteConfig:
     grid_n: int = 131072
     band: tuple = (0.25, 32.0)
     backend: str = "auto"
-    out: str | None = None
     allow_empty_band: bool = False
-    k_range: tuple = (-8, 8)
 
     def __post_init__(self):
         if self.backend not in ("auto", "spectral", "quadrature"):
@@ -206,20 +203,12 @@ def run_decay(config: SuiteConfig) -> list:
 
 
 LEMMA_GRID = GridSpec(half_width=200.0, size=131072)
+LEMMA_K_RANGE = (-8, 8)  # the dyadic bands k the lemma suites try, both ends included
 TRACE_GRID = GridSpec(half_width=200.0, size=32768)
-
-_SUITE_ROWS = (
-    ("bern_1_2", "bernstein ||P_k f||_2 <= C 2^{k/2} ||P_k f||_1"),
-    ("bern_2_4", "bernstein ||P_k f||_4 <= C 2^{k/4} ||P_k f||_2"),
-    ("bern_2_inf", "bernstein ||P_k f||_inf <= C 2^{k/2} ||P_k f||_2"),
-    ("bern2_s1_p2", "derivative bernstein ||P_k f||_2 ~ 2^{-k} || |D| P_k f ||_2"),
-    ("lemma1", "weighted bound 2^k ||d_xi(psi_k fhat)||_2 <= C (L2 + weighted)"),
-    ("lemma2_s0.75", "||psi_k fhat||_inf <= C (||P_k f||_2 + 2^{-3k/4}(L2 + weighted))"),
-)
 
 
 # row name -> the ratio of one (sample, k), from the sample's dyadic piece and
-# its lemma denominator ||f||_2 + ||x f'||_2
+# its lemma denominator ||f||_2 + ||x f'||_2; the rows run in this order
 _ROW_RATIOS = {
     "bern_1_2": lambda piece, denom: piece.bernstein(1, 2),
     "bern_2_4": lambda piece, denom: piece.bernstein(2, 4),
@@ -230,8 +219,7 @@ _ROW_RATIOS = {
 }
 
 
-def run_lemma_suites(config: SuiteConfig, grid: GridSpec | None = None,
-                     rows: tuple = None) -> list:
+def run_lemma_suites(config: SuiteConfig, grid: GridSpec | None = None) -> list:
     """Empirical max/median constants for the Bernstein and lemma ratio checks.
 
     Each sample is transformed once, and each of its dyadic pieces is formed
@@ -242,34 +230,29 @@ def run_lemma_suites(config: SuiteConfig, grid: GridSpec | None = None,
     usable or more than 5% of the evaluated cases of a row are undefined.
     """
     grid = grid or LEMMA_GRID
-    row_names = [r[0] for r in (rows or _SUITE_ROWS)]
-    for name in row_names:
-        if name not in _ROW_RATIOS:
-            raise ParameterError(f"unknown row {name}")
-    k_values = list(range(config.k_range[0], config.k_range[1] + 1))
+    k_values = list(range(LEMMA_K_RANGE[0], LEMMA_K_RANGE[1] + 1))
     usable = [k for k in k_values if resolvable_k(grid, k)]
     if not usable:
         raise SuiteDegenerateError(
-            f"no k in {config.k_range} has an annulus resolved by the grid "
+            f"no k in {LEMMA_K_RANGE} has an annulus resolved by the grid "
             f"(xi spacing {grid.xi_spacing:g}, Nyquist {grid.nyquist:g})"
         )
-    bump = make_bump()
-    values = {name: [] for name in row_names}
-    undefined = dict.fromkeys(row_names, 0)
+    values = {name: [] for name in _ROW_RATIOS}
+    undefined = dict.fromkeys(_ROW_RATIOS, 0)
     for i in range(config.n_samples):
         f = schwartz_sample(grid, config.seed, i)
         denom = _lemma_denominator(f)
         for k in usable:
-            piece = _Piece(f, k, bump)
-            for name in row_names:
+            piece = _Piece(f, k)
+            for name, ratio in _ROW_RATIOS.items():
                 try:
-                    values[name].append(_ROW_RATIOS[name](piece, denom))
+                    values[name].append(ratio(piece, denom))
                 except UndefinedRatioError:
                     undefined[name] += 1
             del piece  # its two N-arrays go before the next piece's are formed
 
     table = []
-    for name in row_names:
+    for name in _ROW_RATIOS:
         total = len(values[name]) + undefined[name]
         if undefined[name] > 0.05 * total:
             raise SuiteDegenerateError(
@@ -288,10 +271,6 @@ def run_lemma_suites(config: SuiteConfig, grid: GridSpec | None = None,
             }
         )
     return table
-
-
-def run_bernstein_suite(config: SuiteConfig, grid: GridSpec | None = None) -> list:
-    return run_lemma_suites(config, grid, rows=_SUITE_ROWS[:4])
 
 
 def _dominant_speed(phi: SampledFunction, alpha: float) -> float:
@@ -317,33 +296,12 @@ def run_trace(config: SuiteConfig, t: float, grid: GridSpec | None = None,
     if x is None:
         x = -t * _dominant_speed(phi, config.alpha)
     trace = trace_terms(phi, t, x, config.alpha)
-    rows = []
-    for k, mag in sorted(trace.piece_mags.items()):
-        rows.append(
-            {
-                "section": "piece",
-                "k": k,
-                "membership": "+".join(trace.memberships[k]),
-                "magnitude": mag,
-                "bound_ratio": "",
-            }
-        )
-    for name, term, ratio in (
-        ("A", trace.term_A, trace.ratio_A),
-        ("B1", trace.term_B1, trace.ratio_B1),
-        ("B2", trace.term_B2, trace.ratio_B2),
-        ("B3", trace.term_B3, trace.ratio_B3),
-        ("C", trace.term_C, trace.ratio_C),
-    ):
-        rows.append(
-            {
-                "section": name,
-                "k": "",
-                "membership": "",
-                "magnitude": term,
-                "bound_ratio": ratio,
-            }
-        )
+    rows = [{"section": "piece", "k": k, "membership": "+".join(trace.memberships[k]),
+             "magnitude": mag, "bound_ratio": ""}
+            for k, mag in sorted(trace.piece_mags.items())]
+    rows += [{"section": name, "k": "", "membership": "", "magnitude": term.value,
+              "bound_ratio": term.ratio}
+             for name, term in trace.terms.items()]
     return {"trace": trace, "rows": rows, "x": x, "t": t}
 
 
@@ -361,7 +319,7 @@ def run_trace_ratio_suite(config: SuiteConfig, times: tuple = TRACE_SUITE_TIMES,
     """
     grid = grid or TRACE_GRID
     band = (config.band[0], min(config.band[1], 0.9 * grid.nyquist))
-    maxima = {name: 0.0 for name in ("A", "B1", "B2", "B3", "C")}
+    maxima = {}
     for i in range(config.n_samples):
         phi = generate_schwartz(config.seed, i, band, grid)
         speed = _dominant_speed(phi, config.alpha)
@@ -370,10 +328,8 @@ def run_trace_ratio_suite(config: SuiteConfig, times: tuple = TRACE_SUITE_TIMES,
             for ray_factor in (0.125, 1.0, 8.0):
                 x = -t * speed * ray_factor
                 tr = trace_terms(phi, t, x, config.alpha, with_annuli=False, _amp=amp)
-                for name, r in (("A", tr.ratio_A), ("B1", tr.ratio_B1),
-                                ("B2", tr.ratio_B2), ("B3", tr.ratio_B3),
-                                ("C", tr.ratio_C)):
-                    maxima[name] = max(maxima[name], r)
+                for name, term in tr.terms.items():
+                    maxima[name] = max(maxima.get(name, 0.0), term.ratio)
     return maxima
 
 

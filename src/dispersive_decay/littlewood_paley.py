@@ -1,7 +1,7 @@
 """Dyadic frequency decomposition: smooth bump, projections, and ratio checks.
 
-The bump is built from the classical exp(-1/x) glue, so its plateau (psi = 1
-for |x| <= 1) and support (psi = 0 for |x| >= 2) are exact, not approximate.
+There is one bump psi, built from the classical exp(-1/x) glue, so its plateau
+(psi = 1 for |x| <= 1) and support (psi = 0 for |x| >= 2) are exact.
 The dyadic pieces psi_k(xi) = psi(xi/2^k) - psi(xi/2^{k-1}) telescope exactly,
 which is what the reconstruction identity uses; psi_k is a smooth cutoff, not
 an orthogonal projection, and no idempotence is asserted.
@@ -24,7 +24,6 @@ that leaves the piece is built.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -55,10 +54,10 @@ __all__ = [
 _ZERO_PIECE_RTOL = 1e-280
 
 
-def _step(u: np.ndarray, s: float) -> np.ndarray:
+def _step(u: np.ndarray) -> np.ndarray:
     """Smooth step: 0 for u <= 0, 1 for u >= 1, strictly increasing between.
 
-    exp(-s/u) / (exp(-s/u) + exp(-s/(1-u))) on 0 < u < 1; the exponentials are
+    exp(-1/u) / (exp(-1/u) + exp(-1/(1-u))) on 0 < u < 1; the exponentials are
     evaluated on that transition set only.
     """
     out = np.empty_like(u)
@@ -68,21 +67,18 @@ def _step(u: np.ndarray, s: float) -> np.ndarray:
     out[lo] = 0.0
     out[hi] = 1.0
     um = u[mid]
-    a = np.exp(-s / um)
-    b = np.exp(-s / (1.0 - um))
+    a = np.exp(-1.0 / um)
+    b = np.exp(-1.0 / (1.0 - um))
     out[mid] = a / (a + b)
     return out
 
 
-@dataclass(frozen=True)
 class BumpFunction:
     """Even C-infinity bump: 1 on [-1, 1], supported in [-2, 2], values in [0, 1]."""
 
-    sharpness: float = 1.0
-
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return 1.0 - _step(np.abs(x) - 1.0, self.sharpness)
+        return 1.0 - _step(np.abs(x) - 1.0)
 
     def dyadic_piece(self, xi, k: int) -> np.ndarray:
         """psi_k(xi) = psi(xi / 2^k) - psi(xi / 2^{k-1}); supported on 2^{k-1} <= |xi| <= 2^{k+1}."""
@@ -90,26 +86,35 @@ class BumpFunction:
         return self(xi / 2.0**k) - self(xi / 2.0 ** (k - 1))
 
 
-def make_bump(transition_sharpness: float = 1.0) -> BumpFunction:
-    if not (0 < transition_sharpness <= 10):
-        raise ParameterError("transition_sharpness must be in (0, 10]")
-    return BumpFunction(transition_sharpness)
+# the bump psi of every dyadic piece
+_BUMP = BumpFunction()
 
 
-_DEFAULT_BUMP = BumpFunction()
+def make_bump() -> BumpFunction:
+    return _BUMP
+
+
+def _in_band(grid: GridSpec, k: int) -> bool:
+    """True when band k's annulus, up to |xi| = 2^{k+1}, fits below the Nyquist frequency."""
+    return 2.0 ** (k + 1) <= grid.nyquist
+
+
+def _annulus_holds(abs_xi: np.ndarray, k: int) -> bool:
+    """True when some |xi| of ``abs_xi`` lies in the open annulus 2^{k-1} < |xi| < 2^{k+1}."""
+    return bool(np.any((abs_xi > 2.0 ** (k - 1)) & (abs_xi < 2.0 ** (k + 1))))
 
 
 def _require_in_band(grid: GridSpec, k: int):
-    if 2.0 ** (k + 1) > grid.nyquist:
+    if not _in_band(grid, k):
         raise OutOfBandError(
             f"band 2^{k + 1} exceeds the Nyquist frequency {grid.nyquist:g}"
         )
 
 
-def project(f: SampledFunction, k: int, bump: BumpFunction = _DEFAULT_BUMP) -> SampledFunction:
+def project(f: SampledFunction, k: int) -> SampledFunction:
     """The Littlewood-Paley piece P_k f, back on the physical side."""
     _require_in_band(f.grid, k)
-    piece = bump.dyadic_piece(f.grid.xi, k) * f.spectrum.values
+    piece = _BUMP.dyadic_piece(f.grid.xi, k) * f.spectrum.values
     return SampledFunction(
         f.grid, _inverse_raw(f.grid, piece), band_limit=min(2.0 ** (k + 1), f.grid.nyquist * 0.999)
     )
@@ -124,14 +129,14 @@ def _workspace(grid: GridSpec) -> tuple:
     return np.empty(n, np.complex128), np.empty(n, np.complex128), np.empty(n), minus_ix
 
 
-def _windowed_piece(bump: BumpFunction, grid: GridSpec, k: int, out: np.ndarray) -> np.ndarray:
-    """``bump.dyadic_piece(grid.xi, k)`` bit for bit, into ``out``: the bump runs on 2^{k-1} <= xi
+def _windowed_piece(grid: GridSpec, k: int, out: np.ndarray) -> np.ndarray:
+    """``_BUMP.dyadic_piece(grid.xi, k)`` bit for bit, into ``out``: the bump runs on 2^{k-1} <= xi
     <= 2^{k+1}; it is even and the xi axis exactly symmetric, so xi < 0 takes its mirror image."""
     m = grid.size // 2
     xi = grid.xi[m:]
     lo, hi = np.searchsorted(xi, 2.0 ** (k - 1)), np.searchsorted(xi, 2.0 ** (k + 1), "right")
     out.fill(0.0)
-    out[m + lo:m + hi] = bump.dyadic_piece(xi[lo:hi], k)
+    out[m + lo:m + hi] = _BUMP.dyadic_piece(xi[lo:hi], k)
     out[m - hi + 1:m - lo + 1] = out[m + hi - 1:m + lo - 1:-1]
     return out
 
@@ -145,12 +150,12 @@ class _Piece:
     its L^p norms. Each ratio adds at most one transform of its own.
     """
 
-    def __init__(self, f: SampledFunction, k: int, bump: BumpFunction):
+    def __init__(self, f: SampledFunction, k: int):
         _require_in_band(f.grid, k)
         self.grid = f.grid
         self.k = k
         self.spectrum = f.spectrum
-        psi = _windowed_piece(bump, self.grid, k, _workspace(self.grid)[2])
+        psi = _windowed_piece(self.grid, k, _workspace(self.grid)[2])
         self.piece_hat = psi * self.spectrum.values
 
     @cached_property
@@ -234,18 +239,16 @@ def _lemma_denominator(f: SampledFunction) -> float:
     return l2_norm_physical(f) + weighted_norm(f)
 
 
-def bernstein_ratio(f: SampledFunction, k: int, p, q,
-                    bump: BumpFunction = _DEFAULT_BUMP) -> float:
+def bernstein_ratio(f: SampledFunction, k: int, p, q) -> float:
     """||P_k f||_q / (2^{k(1/p - 1/q)} ||P_k f||_p) for 1 <= p <= q <= inf."""
     pv = np.inf if p in (np.inf, "inf") else p
     qv = np.inf if q in (np.inf, "inf") else q
     if pv > qv:
         raise ParameterError("need p <= q")
-    return _Piece(f, k, bump).bernstein(pv, qv)
+    return _Piece(f, k).bernstein(pv, qv)
 
 
-def bernstein_derivative_ratio(f: SampledFunction, k: int, s: float, p,
-                               bump: BumpFunction = _DEFAULT_BUMP) -> tuple:
+def bernstein_derivative_ratio(f: SampledFunction, k: int, s: float, p) -> tuple:
     """The two ratios whose joint boundedness expresses ||P_k g||_p ~ 2^{-sk} ||D^s P_k g||_p.
 
     Returns (lower, upper) = (lhs/rhs, rhs/lhs) with lhs = ||P_k g||_p and
@@ -253,26 +256,22 @@ def bernstein_derivative_ratio(f: SampledFunction, k: int, s: float, p,
     """
     if not (0 <= s <= 2):
         raise ParameterError("s must be in [0, 2]")
-    return _Piece(f, k, bump).derivative_bernstein(s, p)
+    return _Piece(f, k).derivative_bernstein(s, p)
 
 
-def lemma1_ratio(f: SampledFunction, k: int, bump: BumpFunction = _DEFAULT_BUMP) -> float:
+def lemma1_ratio(f: SampledFunction, k: int) -> float:
     """2^k ||d/dxi (psi_k fhat)||_{L^2_xi} / (||f||_{L^2} + ||x f'||_{L^2})."""
-    return _Piece(f, k, bump).lemma1(_lemma_denominator(f))
+    return _Piece(f, k).lemma1(_lemma_denominator(f))
 
 
-def lemma2_ratio(f: SampledFunction, k: int, s: float,
-                 bump: BumpFunction = _DEFAULT_BUMP) -> float:
+def lemma2_ratio(f: SampledFunction, k: int, s: float) -> float:
     """||psi_k fhat||_{L^inf} / (||P_k f||_{L^2} + 2^{-sk}(||f||_{L^2} + ||x f'||_{L^2}))."""
     if not (0.5 < s < 1.0):
         raise ParameterError("s must lie in (1/2, 1)")
-    return _Piece(f, k, bump).lemma2(s, _lemma_denominator(f))
+    return _Piece(f, k).lemma2(s, _lemma_denominator(f))
 
 
 def resolvable_k(grid: GridSpec, k: int) -> bool:
     """True when the annulus 2^{k-1} < |xi| < 2^{k+1} contains at least one grid node
     and fits below the Nyquist frequency."""
-    if 2.0 ** (k + 1) > grid.nyquist:
-        return False
-    a = np.abs(grid.xi)
-    return bool(np.any((a > 2.0 ** (k - 1)) & (a < 2.0 ** (k + 1))))
+    return _in_band(grid, k) and _annulus_holds(np.abs(grid.xi), k)

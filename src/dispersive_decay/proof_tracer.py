@@ -29,7 +29,7 @@ import numpy as np
 from .calculus import hs_norm, weighted_norm
 from .errors import ParameterError
 from .grid import SampledFunction, l2_norm_physical
-from .littlewood_paley import BumpFunction, make_bump
+from .littlewood_paley import _BUMP, _annulus_holds, _in_band
 from .propagator import (
     SpectralAmplitude,
     _dphi,
@@ -47,6 +47,11 @@ __all__ = [
 ]
 
 _K_SCAN = range(-64, 65)
+# the constant M of the ray partition, 16 for every alpha: for alpha = 1/2,
+# 2^{k(1-alpha)} = 2^{k/2} and the index sets are the original ones
+_MARGIN = 16.0
+# the proof terms in order, each with the BandPartition.membership label of its bands
+_TERM_BANDS = {"A": "A", "B1": "I1", "B2": "I2", "B3": "I3", "C": "C"}
 _U_LEVIN_NODES = 12  # Levin nodes per cell of u(t, x); the windowed pass uses the default
 
 
@@ -71,7 +76,6 @@ class BandPartition:
     t: float
     x: float
     alpha: float
-    margin: float
     lambda_t: float
     Lambda_t: float
     middle: tuple
@@ -97,7 +101,7 @@ class BandPartition:
         return out
 
 
-def _ray_sets(k: int, t: float, x: float, alpha: float, margin: float) -> set:
+def _ray_sets(k: int, t: float, x: float, alpha: float) -> set:
     """Which of I1/I2/I3 the ray inequalities alone place k in (closed, so a
     boundary k can land in two).  The middle-band restriction scopes the
     partition, not these pointwise admissibility checks.  At x = 0 the ray
@@ -109,35 +113,28 @@ def _ray_sets(k: int, t: float, x: float, alpha: float, margin: float) -> set:
     ray = abs(t / x)
     v = 2.0 ** (k * (1.0 - alpha))
     out = set()
-    if v <= ray / margin:
+    if v <= ray / _MARGIN:
         out.add("I1")
-    if ray / margin <= v <= margin * ray:
+    if ray / _MARGIN <= v <= _MARGIN * ray:
         out.add("I2")
-    if v >= margin * ray:
+    if v >= _MARGIN * ray:
         out.add("I3")
     return out
 
 
-def build_partition(t: float, x: float, alpha: float = 0.5, margin: float = 16.0) -> BandPartition:
-    """Evaluate the index-set inequalities exactly as written.
-
-    For alpha = 1/2 the sets reduce to the original ones with the constant 16,
-    since 2^{k(1-alpha)} = 2^{k/2}; ``margin`` is the constant M of the
-    generalized partition and defaults to 16 accordingly.
-    """
+def build_partition(t: float, x: float, alpha: float = 0.5) -> BandPartition:
+    """Evaluate the index-set inequalities exactly as written, with M = 16 (``_MARGIN``)."""
     if t == 0.0:
         raise ParameterError("t must be nonzero")
-    if margin < 1.0:
-        raise ParameterError("margin must be >= 1")
     lam = lambda_low(t)
     Lam = lambda_high(t)
     middle = tuple(k for k in _K_SCAN if lam <= 2.0**k <= Lam)
     a_max = max((k for k in _K_SCAN if 2.0**k <= lam), default=_K_SCAN.start - 1)
     c_min = min((k for k in _K_SCAN if 2.0**k >= Lam), default=_K_SCAN.stop)
-    sets = {k: _ray_sets(k, t, x, alpha, margin) for k in middle}
+    sets = {k: _ray_sets(k, t, x, alpha) for k in middle}
     I1, I2, I3 = (tuple(k for k in middle if name in sets[k]) for name in ("I1", "I2", "I3"))
     return BandPartition(
-        t=t, x=x, alpha=alpha, margin=margin, lambda_t=lam, Lambda_t=Lam,
+        t=t, x=x, alpha=alpha, lambda_t=lam, Lambda_t=Lam,
         middle=middle, I1=I1, I2=I2, I3=I3,
         a_max_k=a_max, c_min_k=c_min, flagged=bool(x == 0.0),
     )
@@ -194,29 +191,27 @@ def _min_abs_dq(intervals, t, x, alpha) -> float:
     return best
 
 
-def kernel_lower_bound(k: int, t: float, x: float, alpha: float = 0.5,
-                       margin: float = 16.0) -> BoundedValue:
+def kernel_lower_bound(k: int, t: float, x: float, alpha: float = 0.5) -> BoundedValue:
     """min over supp psi_k of |x/t + Phi'(xi)|, and its ratio to 2^{-k(1-alpha)}.
 
     Only meaningful for k in I1 or I3, where the ray is separated from the
     group speeds on the annulus and integration by parts wins.
     """
-    if not ({"I1", "I3"} & _ray_sets(k, t, x, alpha, margin)):
+    if not ({"I1", "I3"} & _ray_sets(k, t, x, alpha)):
         raise ParameterError(f"k = {k} is not in I1 or I3 for (t, x) = ({t}, {x})")
     value = _min_abs_dq(_annulus_intervals(k), t / abs(t), x / abs(t), alpha)
     # x/t + Phi' evaluated by scaling: |x/t + Phi'| = |x' + t' Phi'| with t' = 1
     return BoundedValue(value, value / 2.0 ** (-k * (1.0 - alpha)))
 
 
-def q0_estimate(k: int, l: int, t: float, x: float, alpha: float = 0.5,
-                margin: float = 16.0):
+def q0_estimate(k: int, l: int, t: float, x: float, alpha: float = 0.5):
     """Infimum of |Q'| over supp psi_k intersected with {xi - xi0 in supp psi_l}.
 
     Returns None (a skip signal) when the intersection is empty: the
     corresponding term contributes nothing to the annulus sum.  Otherwise
     returns the infimum and its ratio to |t| 2^{l - (2-alpha) k}.
     """
-    if "I2" not in _ray_sets(k, t, x, alpha, margin):
+    if "I2" not in _ray_sets(k, t, x, alpha):
         raise ParameterError(f"k = {k} is not in I2 for (t, x) = ({t}, {x})")
     xi0 = stationary_point(t, x, alpha)
     if xi0 is None:
@@ -235,11 +230,7 @@ def choose_l0(k: int, t: float, alpha: float) -> int:
     return round((2.0 - alpha) * k / 2.0 - 0.5 * math.log2(abs(t)))
 
 
-_DEFAULT_BUMP = make_bump()
-
-
-def _annulus_windows(amp: SpectralAmplitude, k: int, t: float, x: float, alpha: float,
-                     bump: BumpFunction) -> list:
+def _annulus_windows(amp: SpectralAmplitude, k: int, t: float, x: float, alpha: float) -> list:
     """The stationary-phase windows of band k: the centre, then the l-annuli around xi0.
 
     Each window is (label, intervals, weight, cap): label "center" or l, the
@@ -255,7 +246,7 @@ def _annulus_windows(amp: SpectralAmplitude, k: int, t: float, x: float, alpha: 
     scale = min(8.0 * amp.xi_spacing, 2.0**k / 8.0)
 
     def center_weight(xi):
-        return bump.dyadic_piece(xi, k) * bump((xi - xi0) / 2.0**l0)
+        return _BUMP.dyadic_piece(xi, k) * _BUMP((xi - xi0) / 2.0**l0)
 
     center_band = _intersect(band, [(xi0 - 2.0 ** (l0 + 1), xi0 + 2.0 ** (l0 + 1))])
     out = [("center", center_band, center_weight, min(scale, 2.0**l0 / 4.0))]
@@ -266,7 +257,7 @@ def _annulus_windows(amp: SpectralAmplitude, k: int, t: float, x: float, alpha: 
         pieces = _intersect(band, shifted)
         if pieces:
             def annulus_weight(xi, _l=l):
-                return bump.dyadic_piece(xi, k) * bump.dyadic_piece(xi - xi0, _l)
+                return _BUMP.dyadic_piece(xi, k) * _BUMP.dyadic_piece(xi - xi0, _l)
 
             out.append((l, pieces, annulus_weight, min(scale, 2.0**l / 4.0)))
         l += 1
@@ -312,16 +303,7 @@ class ProofTrace:
     piece_mags: dict
     memberships: dict
     low_mag: float
-    term_A: float
-    term_B1: float
-    term_B2: float
-    term_B3: float
-    term_C: float
-    ratio_A: float
-    ratio_B1: float
-    ratio_B2: float
-    ratio_B3: float
-    ratio_C: float
+    terms: dict
     s_choice: float
     l0_choices: dict = field(default_factory=dict)
     q0_map: dict = field(default_factory=dict)
@@ -329,34 +311,31 @@ class ProofTrace:
 
 
 def trace_terms(phi: SampledFunction, t: float, x: float, alpha: float = 0.5,
-                margin: float = 16.0, bump: BumpFunction = _DEFAULT_BUMP,
                 with_annuli: bool = True, *, _amp: SpectralAmplitude | None = None
                 ) -> ProofTrace:
     """Compute |P_k u(t, x)| for every active band and aggregate the proof terms.
 
-    Each aggregate is reported as (term value) / (right side of its bound):
-    finite, recorded ratios standing in for the implicit absolute constants.
+    ``terms`` maps each term, A to C, to its value and its ratio to the right side
+    of its bound: finite, recorded ratios standing in for the implicit constants.
     ``_amp`` is phi's spectral amplitude when the caller already built it.
     """
     if t == 0.0:
         raise ParameterError("t must be nonzero")
-    part = build_partition(t, x, alpha, margin)
+    part = build_partition(t, x, alpha)
     amp = SpectralAmplitude(phi.spectrum) if _amp is None else _amp
     if not amp.support:
-        zero = BoundedValue(0.0, 0.0)
         return ProofTrace(
             partition=part, u_value=0.0j, reconstruction_defect=0.0,
             piece_mags={}, memberships={}, low_mag=0.0,
-            term_A=0.0, term_B1=0.0, term_B2=0.0, term_B3=0.0, term_C=0.0,
-            ratio_A=zero.ratio, ratio_B1=0.0, ratio_B2=0.0, ratio_B3=0.0,
-            ratio_C=0.0, s_choice=(2.0 - alpha) / 2.0,
+            terms=dict.fromkeys(_TERM_BANDS, BoundedValue(0.0, 0.0)),
+            s_choice=(2.0 - alpha) / 2.0,
         )
     occupied_xi = np.abs(phi.grid.xi[phi.spectrum.occupied])
     active = []
     for k in _K_SCAN:
-        if 2.0 ** (k + 1) > phi.grid.nyquist:
+        if not _in_band(phi.grid, k):
             break
-        if np.any((occupied_xi > 2.0 ** (k - 1)) & (occupied_xi < 2.0 ** (k + 1))):
+        if _annulus_holds(occupied_xi, k):
             active.append(k)
     if not active:
         active = [0]
@@ -365,18 +344,18 @@ def trace_terms(phi: SampledFunction, t: float, x: float, alpha: float = 0.5,
     scale8 = 8.0 * amp.xi_spacing
     windows = [
         (k, _intersect(_annulus_intervals(k), amp.support),
-         functools.partial(bump.dyadic_piece, k=k), min(scale8, 2.0**k / 8.0))
+         functools.partial(_BUMP.dyadic_piece, k=k), min(scale8, 2.0**k / 8.0))
         for k in active
     ]
 
     def low_weight(xi):
-        return bump(xi / 2.0 ** (k_lo - 1))
+        return _BUMP(xi / 2.0 ** (k_lo - 1))
 
     low_band = _intersect([(-(2.0**k_lo), 0.0 - amp.xi_spacing * 0.25),
                            (amp.xi_spacing * 0.25, 2.0**k_lo)], amp.support)
     windows.append(("low", low_band, low_weight, min(scale8, 2.0**k_lo / 8.0)))
     annulus_ks = [k for k in part.I2 if k in active] if with_annuli and not part.flagged else []
-    stationary = {k: _annulus_windows(amp, k, t, x, alpha, bump) for k in annulus_ks}
+    stationary = {k: _annulus_windows(amp, k, t, x, alpha) for k in annulus_ks}
     for k, annulus_windows in stationary.items():
         windows += [((k, label), *rest) for label, *rest in annulus_windows]
     vals = _integrate_windows(amp, amp.support, windows, t, x, alpha)
@@ -393,12 +372,6 @@ def trace_terms(phi: SampledFunction, t: float, x: float, alpha: float = 0.5,
     mags = {k: abs(v) for k, v in pieces_c.items()}
     members = {k: part.membership(k) for k in active}
 
-    term_A = abs(low_c) + sum(m for k, m in mags.items() if k <= part.a_max_k)
-    term_B1 = sum(m for k, m in mags.items() if k in part.I1)
-    term_B2 = sum(m for k, m in mags.items() if k in part.I2)
-    term_B3 = sum(m for k, m in mags.items() if k in part.I3)
-    term_C = sum(m for k, m in mags.items() if k >= part.c_min_k)
-
     l2 = l2_norm_physical(phi)
     w = weighted_norm(phi)
     h1 = hs_norm(phi, 1.0)
@@ -408,11 +381,19 @@ def trace_terms(phi: SampledFunction, t: float, x: float, alpha: float = 0.5,
     lw = l2 + w
     b2_rate = at**-0.5 + at ** ((2.0 - 3.0 * alpha) / 4.0 - 0.75)
 
-    ratio_A = term_A / ((1.0 + at) ** -0.5 * l2) if l2 > 0 else 0.0
-    ratio_B1 = term_B1 * at / (math.log1p(at) * lw) if lw > 0 else 0.0
-    ratio_B2 = term_B2 / (b2_rate * (hs + w)) if (hs + w) > 0 else 0.0
-    ratio_B3 = term_B3 * at**0.5 / lw if lw > 0 else 0.0
-    ratio_C = term_C / ((1.0 + at) ** -0.5 * h1) if h1 > 0 else 0.0
+    # term -> the low block's share of it, and the ratio of its value v to its bound
+    bounds = {
+        "A": (abs(low_c), lambda v: v / ((1.0 + at) ** -0.5 * l2) if l2 > 0 else 0.0),
+        "B1": (0, lambda v: v * at / (math.log1p(at) * lw) if lw > 0 else 0.0),
+        "B2": (0, lambda v: v / (b2_rate * (hs + w)) if (hs + w) > 0 else 0.0),
+        "B3": (0, lambda v: v * at**0.5 / lw if lw > 0 else 0.0),
+        "C": (0, lambda v: v / ((1.0 + at) ** -0.5 * h1) if h1 > 0 else 0.0),
+    }
+    terms = {}
+    for name, band in _TERM_BANDS.items():
+        low, ratio = bounds[name]
+        value = low + sum(m for k, m in mags.items() if band in members[k])
+        terms[name] = BoundedValue(value, ratio(value))
 
     l0s, q0s, annuli = {}, {}, {}
     for k in annulus_ks:
@@ -422,15 +403,13 @@ def trace_terms(phi: SampledFunction, t: float, x: float, alpha: float = 0.5,
         for (l, _m) in annuli[k]:
             if l == "center":
                 continue
-            est = q0_estimate(k, l, t, x, alpha, margin)
+            est = q0_estimate(k, l, t, x, alpha)
             if est is not None:
                 q0s[(k, l)] = est
 
     return ProofTrace(
         partition=part, u_value=u_val, reconstruction_defect=defect,
         piece_mags=mags, memberships=members, low_mag=abs(low_c),
-        term_A=term_A, term_B1=term_B1, term_B2=term_B2, term_B3=term_B3,
-        term_C=term_C, ratio_A=ratio_A, ratio_B1=ratio_B1, ratio_B2=ratio_B2,
-        ratio_B3=ratio_B3, ratio_C=ratio_C, s_choice=s_choice,
+        terms=terms, s_choice=s_choice,
         l0_choices=l0s, q0_map=q0s, annuli=annuli,
     )

@@ -202,6 +202,7 @@ _NODE_CHUNK = 1 << 14  # nodes per amplitude, weight or Levin-solve evaluation, 
 _LEVIN_NODES = 10  # Chebyshev points per Levin cell of the windowed pass
 _LEVIN_MIN_PHASE = 4.0  # a cell is a Levin cell once min |Q'| times its width reaches this
 _SPLINE_K = 5  # degree of the amplitude spline
+_MAX_PHASE = np.pi / 4  # the largest phase increment a Gauss panel may span
 
 
 @functools.lru_cache(maxsize=2)
@@ -286,17 +287,16 @@ def _pieces(intervals, amp_scale, t: float, x: float, alpha: float) -> list:
     return out
 
 
-def _spend(total: int, budget: int, max_phase: float) -> None:
+def _spend(total: int, budget: int) -> None:
     if total > budget:
         raise AccuracyNotMetError(
             f"panel budget {budget} exhausted (needed > {total}); "
             "phase too oscillatory for the requested accuracy",
-            achieved=max_phase * total / budget,
+            achieved=_MAX_PHASE * total / budget,
         )
 
 
-def _subdivide(a: float, b: float, t: float, x: float, alpha: float,
-               amp_scale: float, max_phase: float):
+def _subdivide(a: float, b: float, t: float, x: float, alpha: float, amp_scale: float):
     """Panel starts/widths covering [a, b] (one sign of xi, xi0 already split out).
 
     Two-level scheme: coarse uniform chunks, then per-chunk uniform refinement
@@ -309,8 +309,8 @@ def _subdivide(a: float, b: float, t: float, x: float, alpha: float,
     w = np.diff(edges)
     max_dq = np.maximum(dq[:-1], dq[1:])
     max_d2q = np.maximum(d2q[:-1], d2q[1:])
-    n1 = np.ceil(w * max_dq / max_phase)
-    n2 = np.ceil(np.sqrt(w**2 * max_d2q / (2.0 * max_phase)))
+    n1 = np.ceil(w * max_dq / _MAX_PHASE)
+    n2 = np.ceil(np.sqrt(w**2 * max_d2q / (2.0 * _MAX_PHASE)))
     n3 = np.ceil(w / amp_scale)
     return _split(edges, np.maximum.reduce([n1, n2, n3, np.ones_like(w)]).astype(np.int64))
 
@@ -325,17 +325,16 @@ def _split(edges: np.ndarray, n: np.ndarray):
     return starts, sub_w
 
 
-def _panels(pieces, t: float, x: float, alpha: float, max_phase: float, budget: int,
-            spent: int = 0):
+def _panels(pieces, t: float, x: float, alpha: float, budget: int, spent: int = 0):
     """Gauss panel starts/widths over the (a, b, cap) pieces, in their order.
 
     Raises AccuracyNotMetError once ``spent`` plus the panel count passes ``budget``.
     """
     all_starts, all_widths = [np.empty(0)], [np.empty(0)]
     for (a, b, cap) in pieces:
-        starts, widths = _subdivide(a, b, t, x, alpha, cap, max_phase)
+        starts, widths = _subdivide(a, b, t, x, alpha, cap)
         spent += starts.size
-        _spend(spent, budget, max_phase)
+        _spend(spent, budget)
         all_starts.append(starts)
         all_widths.append(widths)
     return np.concatenate(all_starts), np.concatenate(all_widths)
@@ -452,8 +451,7 @@ def _node_ranges(nodes: np.ndarray, intervals) -> list:
 
 
 def _windowed_integrals(amp, intervals, windows, t: float, x: float, alpha: float,
-                        amp_scale, max_phase: float = np.pi / 4.0,
-                        budget: int = 1 << 23, levin_nodes: int = _LEVIN_NODES) -> list:
+                        amp_scale, budget: int = 1 << 23, levin_nodes: int = _LEVIN_NODES) -> list:
     """int amp(xi) w(xi) exp(i (x xi + t |xi|^alpha)) dxi for each window, from one rule.
 
     The intervals, split at the stationary point, are cut at the grid points
@@ -477,9 +475,9 @@ def _windowed_integrals(amp, intervals, windows, t: float, x: float, alpha: floa
     if levin_nodes:
         cells, cell_widths, pieces = _levin_cells(pieces, amp.xi_spacing, t, x, alpha)
         spent = cells.size
-        _spend(spent, budget, max_phase)
+        _spend(spent, budget)
         blocks.append(_levin_blocks(amp, cells, cell_widths, t, x, alpha, levin_nodes))
-    starts, widths = _panels(pieces, t, x, alpha, max_phase, budget, spent)
+    starts, widths = _panels(pieces, t, x, alpha, budget, spent)
     blocks.append(_gauss_blocks(amp, starts, widths, t, x, alpha))
     acc = [0.0 + 0.0j] * len(windows)
     for nodes, integrand in itertools.chain(*blocks):
@@ -495,8 +493,7 @@ def _windowed_integrals(amp, intervals, windows, t: float, x: float, alpha: floa
 
 
 def oscillatory_integral(amp, intervals, t: float, x: float, alpha: float,
-                         amp_scale: float, max_phase: float = np.pi / 4.0,
-                         budget: int = 1 << 23):
+                         amp_scale: float, budget: int = 1 << 23):
     """int amp(xi) exp(i (x xi + t |xi|^alpha)) dxi over the given intervals.
 
     The reference rule: phase-refined 8-point Gauss panels everywhere, no
@@ -505,12 +502,10 @@ def oscillatory_integral(amp, intervals, t: float, x: float, alpha: float,
     the amplitude.
     """
     return _windowed_integrals(amp, intervals, [(None, None)], t, x, alpha,
-                               amp_scale, max_phase, budget, levin_nodes=0)[0]
+                               amp_scale, budget, levin_nodes=0)[0]
 
 
-def evolve_quadrature(phi_hat: SpectralFunction, t: float, x_points, alpha: float = 0.5,
-                      amp_scale: float | None = None, max_phase: float = np.pi / 4.0,
-                      budget: int = 1 << 23) -> list:
+def evolve_quadrature(phi_hat: SpectralFunction, t: float, x_points, alpha: float = 0.5) -> list:
     """u(t, x) = (1/2pi) int phi_hat(xi) exp(i(x xi + t |xi|^alpha)) dxi at each x.
 
     No periodicity assumption: this is the slow, trustworthy backend used to
@@ -526,12 +521,11 @@ def evolve_quadrature(phi_hat: SpectralFunction, t: float, x_points, alpha: floa
             UserWarning,
             stacklevel=2,
         )
-    if amp_scale is None:
-        amp_scale = 8.0 * amp.xi_spacing
+    amp_scale = 8.0 * amp.xi_spacing
     out = []
     for x in np.atleast_1d(np.asarray(x_points, dtype=float)):
         val = _windowed_integrals(amp, amp.support, [(None, None)], t, float(x), alpha,
-                                  amp_scale, max_phase, budget)[0]
+                                  amp_scale)[0]
         out.append(val / (2.0 * np.pi))
     return out
 

@@ -61,7 +61,7 @@ def band_window(xi: np.ndarray, lo: float, hi: float) -> np.ndarray:
     rise = min(lo, (hi - lo) / 3.0)
     fall = min(hi / 2.0, (hi - lo) / 3.0)
     a = np.abs(xi)
-    return _step((a - lo) / rise, 1.0) * _step((hi - a) / fall, 1.0)
+    return _step((a - lo) / rise) * _step((hi - a) / fall)
 
 
 @functools.lru_cache(maxsize=1)

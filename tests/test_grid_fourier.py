@@ -186,7 +186,7 @@ class TestSpectrum:
 
     def test_own_spectrum_per_sample(self, grid40):
         f = gaussian(grid40, b=2.0)
-        for g in (f.with_values(2.0 * f.values), evolve_spectral(f, 1.0, 0.5)):
+        for g in (SampledFunction(grid40, 2.0 * f.values), evolve_spectral(f, 1.0, 0.5)):
             assert g.spectrum is not f.spectrum
             assert g.spectrum.values.tobytes() == _forward_raw(grid40, g.values).tobytes()
 
@@ -277,8 +277,7 @@ class TestForward:
         g = GridSpec(half_width=2.0, size=64)
         f = gaussian(g, a=0.5)  # visibly nonzero at |x| = 2
         with pytest.warns(BoundaryDecayWarning):
-            hat = forward_ft(f)
-        assert hat.notes  # warning recorded on the result
+            forward_ft(f)
 
 
 class TestInverse:

@@ -1,5 +1,6 @@
 """Harness pipeline, CSV contract, and CLI exit codes."""
 
+import argparse
 import dataclasses
 import math
 import os
@@ -21,12 +22,13 @@ from dispersive_decay.calculus import (
     norms,
     weighted_norm,
 )
-from dispersive_decay.cli import build_parser, main
+from dispersive_decay.cli import _decay_pin, build_parser, main
 from dispersive_decay.errors import ParameterError
 from dispersive_decay.grid import GridSpec, SampledFunction, _forward_raw, _inverse_raw, forward_ft
 from dispersive_decay.harness import (
     DYADIC_TIMES,
     LEMMA_GRID,
+    LEMMA_K_RANGE,
     TRACE_GRID,
     SuiteConfig,
     decay_rows,
@@ -136,7 +138,7 @@ class TestRunDecay:
     def test_homogeneity(self):
         # R(t) is invariant under phi -> c phi: both sides scale linearly
         f = generate_schwartz(0, 0, (0.5, 8.0), SMALL)
-        g = f.with_values(10.0 * f.values)
+        g = SampledFunction(f.grid, 10.0 * f.values, f.band_limit)
         for phi_a, phi_b in ((f, g),):
             na, nb_ = norms(phi_a), norms(phi_b)
             ra = locate_sup(evolve_spectral(phi_a, 16.0, 0.5)).value / (na.h1 + na.weighted)
@@ -181,7 +183,8 @@ class TestRunDecay:
         # causal cone that the quadrature scan once assumed
         def shifted(seed, index, band, grid):
             phi = generate_schwartz(seed, index, band, grid)
-            return phi.with_values(np.roll(phi.values, int(40.0 / grid.spacing)))
+            return SampledFunction(grid, np.roll(phi.values, int(40.0 / grid.spacing)),
+                                   phi.band_limit)
 
         monkeypatch.setattr(harness, "generate_schwartz", shifted)
         kwargs = dict(seed=0, n_samples=1, times=(4.0,), half_width=256.0,
@@ -411,15 +414,6 @@ class TestLemmaSuites:
         # the lowest annuli contain no grid node at this resolution
         assert -8 in table[0]["skipped_k"]
 
-    def test_unknown_row_rejected_before_sampling(self, monkeypatch):
-        def no_sample(*args):
-            raise AssertionError("a sample was drawn before the rows were validated")
-
-        monkeypatch.setattr(harness, "schwartz_sample", no_sample)
-        with pytest.raises(ParameterError, match="unknown row"):
-            run_lemma_suites(SuiteConfig(seed=0, n_samples=2), self.GRID,
-                             rows=(("bern_1_2", ""), ("bern_3_1", "")))
-
     @staticmethod
     def _reference_table(config, grid):
         """The suite's rows one ratio at a time, from P_k f = project(f, k)."""
@@ -437,7 +431,7 @@ class TestLemmaSuites:
         for i in range(config.n_samples):
             f = schwartz_sample(grid, config.seed, i)
             denom = lp_norm(f, 2) + weighted_norm(f)
-            for k in range(config.k_range[0], config.k_range[1] + 1):
+            for k in range(LEMMA_K_RANGE[0], LEMMA_K_RANGE[1] + 1):
                 if not resolvable_k(grid, k):
                     continue
                 piece = project(f, k)
@@ -472,15 +466,16 @@ class TestLemmaSuites:
         rows = {name: [] for name in exponents}
         for i in range(cfg.n_samples):
             f = schwartz_sample(self.GRID, cfg.seed, i)
-            for k in range(cfg.k_range[0], cfg.k_range[1] + 1):
+            for k in range(LEMMA_K_RANGE[0], LEMMA_K_RANGE[1] + 1):
                 if resolvable_k(self.GRID, k):
                     piece = project(f, k)
                     for name, (p, q) in exponents.items():
                         rows[name].append(lp_norm(piece, q) / (
                             2.0 ** (k * (1.0 / p - 1.0 / q)) * lp_norm(piece, p)))
-        for row in run_lemma_suites(cfg, self.GRID, rows=harness._SUITE_ROWS[:3]):
-            assert (row["max"], row["median"]) == (np.max(rows[row["check"]]),
-                                                   np.median(rows[row["check"]])), row["check"]
+        table = {row["check"]: row for row in run_lemma_suites(cfg, self.GRID)}
+        for name, ratios in rows.items():
+            assert (table[name]["max"], table[name]["median"]) == (np.max(ratios),
+                                                                   np.median(ratios)), name
 
     def test_transforms_per_sample(self, fft_calls):
         # one spectrum and the weighted norm's inverse transform per sample,
@@ -515,8 +510,9 @@ class TestRunTrace:
         result = run_trace(cfg, 1.0)
         trace = result["trace"]
         assert trace.partition.middle == ()
-        assert trace.term_B1 == trace.term_B2 == trace.term_B3 == 0.0
-        assert trace.term_A > 0 or trace.term_C > 0
+        terms = {name: term.value for name, term in trace.terms.items()}
+        assert terms["B1"] == terms["B2"] == terms["B3"] == 0.0
+        assert terms["A"] > 0 or terms["C"] > 0
 
 
 class TestCsv:
@@ -538,12 +534,59 @@ class TestCsv:
             write_csv([], tmp_path / "empty.csv")
 
 
+# each command's option strings, beside -h/--help: the flags it reads
+COMMAND_OPTIONS = {
+    "verify-decay": {"--alpha", "--seed", "--samples", "--grid-n", "--half-width", "--band",
+                     "--t-grid", "--backend", "--out"},
+    "lemma-suite": {"--seed", "--samples", "--grid-n", "--half-width", "--out"},
+    "trace-proof": {"--alpha", "--seed", "--grid-n", "--half-width", "--band", "--out",
+                    "--allow-empty-band", "--time"},
+    "stationary-point": {"--time", "--x", "--alpha"},
+    "factorization-check": {"--alpha", "--seed", "--grid-n", "--half-width", "--band", "--time",
+                            "--dt"},
+}
+
+
 class TestCli:
     def test_parser_built_once(self):
         assert build_parser() is build_parser()
 
+    def test_commands_register_only_the_flags_they_read(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {command: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+                   for command, p in sub.choices.items()}
+        assert options == COMMAND_OPTIONS
+
+    @pytest.mark.parametrize("argv", [["lemma-suite", "--alpha", "0.4"],
+                                      ["factorization-check", "--out", "x.csv"],
+                                      ["trace-proof", "--samples", "1"],
+                                      ["verify-decay", "--allow-empty-band"],
+                                      ["bernstein-suite"]])
+    def test_unread_flag_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err or argv == ["bernstein-suite"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_verify_decay_pinned_only_on_a_prefix_of_the_pinned_suite(self, capsys):
+        # DECAY_MAX_RATIO holds the maxima of the default suite: its grid,
+        # band and time grid, 20 samples
+        assert main(["verify-decay", "--samples", "1", "--grid-n", "16384",
+                     "--half-width", "1024", "--t-grid", "1,4"]) == 0
+        assert "(pinned: None)" in capsys.readouterr().out
+        assert main(["verify-decay", "--samples", "1"]) == 0
+        assert f"(pinned: {pins.DECAY_MAX_RATIO[(0, 0.5)]})" in capsys.readouterr().out
+        for changed in (dict(n_samples=21), dict(band=(0.5, 8.0)), dict(times=(1.0, 4.0)),
+                        dict(half_width=1024.0), dict(grid_n=16384)):
+            assert _decay_pin(SuiteConfig(**changed)) is None
+        assert _decay_pin(SuiteConfig(seed=1, alpha=0.4, n_samples=20)) == \
+            pins.DECAY_MAX_RATIO[(1, 0.4)]
+
     def test_cached_parser_gives_fresh_parser_outputs(self, tmp_path, capsys):
-        argvs = (["trace-proof", "--band", "0.5:8", "--samples", "1", "--out"],
+        argvs = (["trace-proof", "--band", "0.5:8", "--out"],
                  ["trace-proof", "--alpha", "half"],
                  ["verify-decay", "--samples", "1", "--out"])
 
@@ -637,7 +680,7 @@ class TestCli:
     def test_trace_proof_smoke(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         code = main(["trace-proof", "--time", "4096", "--band", "0.5:16",
-                     "--samples", "1", "--out", str(out)])
+                     "--out", str(out)])
         assert code == 0
         rows = read_csv_rows(out)
         assert any(r["section"] == "piece" for r in rows)

@@ -84,9 +84,9 @@ class TestBandPartition:
         assert part.I2 == () and part.I3 == ()
 
     def test_general_alpha_sets(self):
-        # alpha = 0.4: membership via 2^{0.6 k} against the margin
+        # alpha = 0.4: membership via 2^{0.6 k} against the margin M = 16
         t, x, M = 2.0 ** 14, -4.0, 16.0
-        part = build_partition(t, x, alpha=0.4, margin=M)
+        part = build_partition(t, x, alpha=0.4)
         ray = abs(t / x)
         for k in part.middle:
             v = 2.0 ** (0.6 * k)
@@ -259,8 +259,8 @@ class TestTraceTerms:
     def test_zero_input(self):
         phi = SampledFunction(GRID, np.zeros(GRID.size))
         trace = trace_terms(phi, 2048.0, -10.0)
-        assert trace.term_A == trace.term_B1 == trace.term_B2 == 0.0
-        assert trace.term_B3 == trace.term_C == 0.0
+        assert list(trace.terms) == ["A", "B1", "B2", "B3", "C"]
+        assert all(term == (0.0, 0.0) for term in trace.terms.values())
         assert trace.reconstruction_defect == 0.0
 
     def test_reconstruction_and_triangle(self):
@@ -277,8 +277,8 @@ class TestTraceTerms:
         phi = generate_schwartz(1, 3, (0.5, 16.0), GRID)
         x = -t * 0.5 / np.sqrt(2.0)
         trace = trace_terms(phi, t, x, with_annuli=True)
-        for r in (trace.ratio_A, trace.ratio_B1, trace.ratio_B2,
-                  trace.ratio_B3, trace.ratio_C):
+        assert list(trace.terms) == ["A", "B1", "B2", "B3", "C"]
+        for _, r in trace.terms.values():
             assert np.isfinite(r) and r >= 0
         assert trace.s_choice == 0.75
         for bv in trace.q0_map.values():
