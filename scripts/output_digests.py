@@ -15,7 +15,11 @@ The outputs are
 * ``trace-proof --band 0.5:8`` at seeds 0-4 (the same three);
 * the lemma tables of ``run_lemma_suites`` (5 samples) at seeds 0, 1 and 7,
   every float as hex;
-* the 2-sample criterion-9 maxima of ``run_trace_ratio_suite``, as hex.
+* the 2-sample criterion-9 maxima of ``run_trace_ratio_suite``, as hex;
+* ``evolve_quadrature`` of the first fallback sample at t = 1024 and
+  x = linspace(-400, 0, 7) on that grid, and one pure-Gauss
+  ``oscillatory_integral`` of 185229 panels, every float as hex: the
+  quadrature values themselves, which a sup over x can hide.
 
 Each line is ``<name> <sha256>``; ``--show`` adds the hashed text under it.
 It takes about 20 s on one core.
@@ -30,8 +34,13 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from dispersive_decay.cli import main as cli_main
+from dispersive_decay.grid import GridSpec
 from dispersive_decay.harness import SuiteConfig, run_lemma_suites, run_trace_ratio_suite
+from dispersive_decay.propagator import evolve_quadrature, oscillatory_integral
+from dispersive_decay.schwartz import generate_schwartz
 
 
 def cli_output(argv: list) -> str:
@@ -47,6 +56,22 @@ def cli_output(argv: list) -> str:
 
 def hexed(v) -> str:
     return float(v).hex() if isinstance(v, float) else repr(v)
+
+
+def complex_hex(values) -> str:
+    return "\n".join(f"{v.real.hex()} {v.imag.hex()}" for v in map(complex, values))
+
+
+def fallback_quadrature() -> str:
+    grid = GridSpec(half_width=256.0, size=8192)
+    phi = generate_schwartz(0, 0, (0.5, 8.0), grid)
+    return complex_hex(evolve_quadrature(phi.spectrum, 1024.0, np.linspace(-400.0, 0.0, 7)))
+
+
+def gauss_integral() -> str:
+    t = 2.0 ** 16
+    return complex_hex([oscillatory_integral(lambda xi: np.exp(-xi ** 2), [(0.5, 4.0)],
+                                             t, -t, 0.5, 0.01)])
 
 
 def lemma_table(seed: int) -> str:
@@ -73,6 +98,8 @@ def outputs():
     yield "criterion9-maxima/2-samples", lambda: "\n".join(
         f"{name}={v.hex()}"
         for name, v in run_trace_ratio_suite(SuiteConfig(seed=0, n_samples=2)).items())
+    yield "evolve-quadrature/fallback-grid/7-points", fallback_quadrature
+    yield "oscillatory-integral/pure-gauss", gauss_integral
 
 
 def main(argv: list) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -51,11 +51,9 @@ class NormBundle:
     l2: float
     h1: float
     weighted: float
-    hs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        entries = [self.l2, self.h1, self.weighted, *self.hs.values()]
-        if not all(np.isfinite(v) and v >= 0 for v in entries):
+        if not all(np.isfinite(v) and v >= 0 for v in (self.l2, self.h1, self.weighted)):
             raise InvalidInputError("norm bundle entries must be finite and nonnegative")
 
 
@@ -93,7 +91,7 @@ def fractional_derivative(f: SampledFunction, s: float) -> SampledFunction:
             )
         hat = hat.copy()
         hat[zero] = 0.0
-    return SampledFunction(f.grid, _inverse_raw(f.grid, mult * hat), f.band_limit, _adopt=True)
+    return SampledFunction(f.grid, _inverse_raw(f.grid, mult * hat), _adopt=True)
 
 
 def _derivative_values(f: SampledFunction, order: int) -> np.ndarray:
@@ -106,7 +104,7 @@ def _derivative_values(f: SampledFunction, order: int) -> np.ndarray:
 
 def spectral_derivative(f: SampledFunction, order: int = 1) -> SampledFunction:
     """d/dx via the multiplier (i xi)^order."""
-    return SampledFunction(f.grid, _derivative_values(f, order), f.band_limit, _adopt=True)
+    return SampledFunction(f.grid, _derivative_values(f, order), _adopt=True)
 
 
 def _exponent(p):
@@ -158,15 +156,9 @@ def weighted_norm(f: SampledFunction) -> float:
 
 
 def norms(f: SampledFunction) -> NormBundle:
-    """L^2, H^1, weighted and H^{3/4} norms of f."""
+    """L^2, H^1 and weighted norms of f."""
     _check_finite(f, "norms")
-    hs = {1.0: hs_norm(f, 1.0), 0.75: hs_norm(f, 0.75)}
-    return NormBundle(
-        l2=l2_norm_physical(f),
-        h1=hs[1.0],
-        weighted=weighted_norm(f),
-        hs=hs,
-    )
+    return NormBundle(l2=l2_norm_physical(f), h1=hs_norm(f, 1.0), weighted=weighted_norm(f))
 
 
 class SupResult(NamedTuple):

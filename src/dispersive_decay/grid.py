@@ -139,19 +139,10 @@ class SampledFunction(_ReadOnlyValues):
 
     grid: GridSpec
     values: np.ndarray
-    band_limit: float | None = None
     _adopt: InitVar[bool] = False
 
     def __post_init__(self, _adopt):
         self._freeze_values(_adopt)
-        if self.band_limit is not None:
-            if not (0 < self.band_limit):
-                raise InvalidInputError("band_limit must be positive")
-            if self.band_limit >= self.grid.nyquist:
-                raise InvalidInputError(
-                    "declared band_limit must lie strictly below the Nyquist "
-                    f"frequency {self.grid.nyquist:g}"
-                )
 
     @functools.cached_property
     def spectrum(self) -> "SpectralFunction":

@@ -115,9 +115,7 @@ def project(f: SampledFunction, k: int) -> SampledFunction:
     """The Littlewood-Paley piece P_k f, back on the physical side."""
     _require_in_band(f.grid, k)
     piece = _BUMP.dyadic_piece(f.grid.xi, k) * f.spectrum.values
-    return SampledFunction(
-        f.grid, _inverse_raw(f.grid, piece), band_limit=min(2.0 ** (k + 1), f.grid.nyquist * 0.999)
-    )
+    return SampledFunction(f.grid, _inverse_raw(f.grid, piece))
 
 
 @functools.lru_cache(maxsize=1)

@@ -32,7 +32,7 @@ from .grid import SampledFunction, l2_norm_physical
 from .littlewood_paley import _BUMP, _annulus_holds, _in_band
 from .propagator import (
     SpectralAmplitude,
-    _dphi,
+    _dq,
     _windowed_integrals,
     stationary_point,
 )
@@ -181,7 +181,7 @@ def _min_abs_dq(intervals, t, x, alpha) -> float:
     """
     best = np.inf
     for (a, b) in intervals:
-        dq = x + t * _dphi(np.array([a, b], dtype=float), alpha)
+        dq = _dq(np.array([a, b], dtype=float), t, x, alpha)
         if dq[0] * dq[1] < 0:
             raise ParameterError(
                 f"x + t Phi' changes sign on ({a}, {b}): the interval holds the "

@@ -14,15 +14,15 @@ Two backends:
   phase is the only difficulty.  The spline's banded collocation matrix
   depends on the grid alone: its LU factorisation is cached per grid
   (``_collocation``), and each sample pays only the back-substitution.
-  Wherever the phase is fast, a grid cell is a Levin cell: a collocation
-  rule whose complex node weights absorb exp(iQ) (Levin, Math. Comp. 38,
-  1982), with an error that falls as the frequency grows (Olver, IMA J.
-  Numer. Anal. 26, 2006).  Around the stationary point and wherever the
+  Two rules give nodes with complex weights that absorb exp(iQ).  Where the
+  phase is fast, a grid cell is a Levin cell: a collocation rule (Levin,
+  Math. Comp. 38, 1982) whose error falls as the frequency grows (Olver, IMA
+  J. Numer. Anal. 26, 2006).  Around the stationary point and where the
   phase is slow, 8-point Gauss panels refined by the local phase increment
-  take over.  One set of cells and panels serves several windowed integrals
-  of the same amplitude (``_windowed_integrals``).  ``oscillatory_integral``
-  keeps the Gauss panels everywhere: it is the reference the Levin rule is
-  tested against.
+  take over, with weights w_j exp(iQ(xi_j)).  The amplitude is evaluated
+  once per node, in one place, and one set of nodes serves several windowed
+  integrals of it (``_windowed_integrals``).  ``oscillatory_integral`` keeps
+  the Gauss panels everywhere: the reference the Levin rule is tested against.
 
 Both agree on band-limited data inside the guard, and that agreement is one of
 the headline cross-checks of the harness.
@@ -86,6 +86,19 @@ def _d2phi(xi, alpha):
     return alpha * (alpha - 1.0) * np.abs(xi) ** (alpha - 2.0)
 
 
+# the phase Q_{t,x} = x xi + t Phi, its derivative and exp(iQ), for every rule and bound
+def _q(xi, t, x, alpha):
+    return x * xi + t * _phi(xi, alpha)
+
+
+def _dq(xi, t, x, alpha):
+    return x + t * _dphi(xi, alpha)
+
+
+def _eiq(xi, t, x, alpha):
+    return np.exp(1j * _q(xi, t, x, alpha))
+
+
 @functools.lru_cache(maxsize=1)
 def _phase(grid: GridSpec, alpha: float) -> np.ndarray:
     """|xi|^alpha on the grid's xi axis, kept read-only for one (L, N, alpha) at a time."""
@@ -127,26 +140,14 @@ class PhaseSpec:
         if not (0 < self.alpha < 1):
             raise ParameterError("alpha must lie in (0, 1)")
 
-    def phi(self, xi):
-        return _phi(np.asarray(xi, dtype=float), self.alpha)
-
-    def dphi(self, xi):
-        return _dphi(np.asarray(xi, dtype=float), self.alpha)
-
-    def d2phi(self, xi):
-        return _d2phi(np.asarray(xi, dtype=float), self.alpha)
-
     def q(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return self.x * xi + self.t * _phi(xi, self.alpha)
+        return _q(np.asarray(xi, dtype=float), self.t, self.x, self.alpha)
 
     def dq(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return self.x + self.t * _dphi(xi, self.alpha)
+        return _dq(np.asarray(xi, dtype=float), self.t, self.x, self.alpha)
 
     def d2q(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return self.t * _d2phi(xi, self.alpha)
+        return self.t * _d2phi(np.asarray(xi, dtype=float), self.alpha)
 
 
 def stationary_point(t: float, x: float, alpha: float = 0.5):
@@ -187,8 +188,7 @@ def evolve_spectral(phi: SampledFunction, t: float, alpha: float = 0.5) -> Sampl
             )
     mult = _multiplier(phi.grid, t, alpha)
     mult *= hat
-    return SampledFunction(phi.grid, _inverse_raw(phi.grid, mult, out=mult), phi.band_limit,
-                           _adopt=True)
+    return SampledFunction(phi.grid, _inverse_raw(phi.grid, mult, out=mult), _adopt=True)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +197,7 @@ def evolve_spectral(phi: SampledFunction, t: float, alpha: float = 0.5) -> Sampl
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _COARSE_CHUNKS = 64
-_EVAL_BLOCK = 1 << 18  # panels per evaluation block, to bound peak memory
-_NODE_CHUNK = 1 << 14  # nodes per amplitude, weight or Levin-solve evaluation, for the same reason
+_NODE_CHUNK = 1 << 14  # nodes per chunk of a quadrature rule, to bound peak memory
 _LEVIN_NODES = 10  # Chebyshev points per Levin cell of the windowed pass
 _LEVIN_MIN_PHASE = 4.0  # a cell is a Levin cell once min |Q'| times its width reaches this
 _SPLINE_K = 5  # degree of the amplitude spline
@@ -304,7 +303,7 @@ def _subdivide(a: float, b: float, t: float, x: float, alpha: float, amp_scale: 
     branch, so endpoint evaluation is decisive).
     """
     edges = np.linspace(a, b, _COARSE_CHUNKS + 1)
-    dq = np.abs(x + t * _dphi(edges, alpha))
+    dq = np.abs(_dq(edges, t, x, alpha))
     d2q = np.abs(t * _d2phi(edges, alpha))
     w = np.diff(edges)
     max_dq = np.maximum(dq[:-1], dq[1:])
@@ -359,7 +358,7 @@ def _levin_cells(pieces, spacing: float, t: float, x: float, alpha: float):
         coarse = np.concatenate(([a], knots, [b]))
         starts, widths = _split(coarse, np.ceil(np.diff(coarse) / cap).astype(np.int64))
         edges = np.append(starts, b)
-        dq = x + t * _dphi(edges, alpha)
+        dq = _dq(edges, t, x, alpha)
         levin = ((dq[:-1] * dq[1:] > 0)
                  & (np.minimum(np.abs(dq[:-1]), np.abs(dq[1:])) * widths >= _LEVIN_MIN_PHASE))
         all_starts.append(starts[levin])
@@ -392,8 +391,8 @@ def _chebyshev(n: int):
     return s, np.ascontiguousarray(d.T), left, right
 
 
-def _levin_blocks(amp, starts, widths, t: float, x: float, alpha: float, n: int):
-    """(nodes, integrand) of the Levin cells, at most ``_NODE_CHUNK`` nodes at a time.
+def _levin_rule(starts, widths, t: float, x: float, alpha: float, n: int):
+    """(nodes, weights) of the Levin cells, at most ``_NODE_CHUNK`` nodes at a time.
 
     On a cell [a, b] of half-width h, collocating p' + i Q' p = f on n
     Chebyshev points gives int f e^{iQ} = p(b) e^{iQ(b)} - p(a) e^{iQ(a)}
@@ -411,35 +410,22 @@ def _levin_blocks(amp, starts, widths, t: float, x: float, alpha: float, n: int)
         nodes = (a + half) + half * s
         mat = np.empty((a.size, n, n), dtype=np.complex128)
         mat[:] = dt
-        mat[:, diag, diag] += 1j * half * (x + t * _dphi(nodes, alpha))
-        ends = np.hstack([a, a + 2.0 * half])
-        phase = np.exp(1j * (x * ends + t * np.abs(ends) ** alpha))
+        mat[:, diag, diag] += 1j * half * _dq(nodes, t, x, alpha)
+        phase = _eiq(np.hstack([a, a + 2.0 * half]), t, x, alpha)
         rhs = phase[:, 1:] * right - phase[:, :1] * left
         weights = half * np.linalg.solve(mat, rhs[..., None])[..., 0]
-        flat = nodes.ravel()
-        integrand = amp(flat)
-        integrand *= weights.ravel()
-        yield flat, integrand
+        yield nodes.ravel(), weights.ravel()
 
 
-def _gauss_blocks(amp, starts, widths, t: float, x: float, alpha: float):
-    """(nodes, integrand) of the Gauss panels, a block of at most ``_EVAL_BLOCK`` at a time."""
-    for i in range(0, starts.size, _EVAL_BLOCK):
-        s = starts[i : i + _EVAL_BLOCK]
-        w = widths[i : i + _EVAL_BLOCK]
-        half = 0.5 * w
-        flat = ((s + half)[:, None] + half[:, None] * _GL_NODES).ravel()
-        gauss = (_GL_WEIGHTS * half[:, None]).ravel()
-        integrand = np.empty(flat.size, dtype=np.complex128)
-        for c in range(0, flat.size, _NODE_CHUNK):
-            xi = flat[c : c + _NODE_CHUNK]
-            # keep the factor order: numpy can round a complex product
-            # differently with its operands swapped
-            part = np.exp(1j * (x * xi + t * np.abs(xi) ** alpha))
-            part *= amp(xi)
-            part *= gauss[c : c + _NODE_CHUNK]
-            integrand[c : c + _NODE_CHUNK] = part
-        yield flat, integrand
+def _gauss_rule(starts, widths, t: float, x: float, alpha: float):
+    """(nodes, weights w_j exp(iQ(xi_j))) of the Gauss panels, ``_NODE_CHUNK // 8`` at a time."""
+    step = max(1, _NODE_CHUNK // _GL_NODES.size)
+    for i in range(0, starts.size, step):
+        half = 0.5 * widths[i : i + step, None]
+        nodes = ((starts[i : i + step, None] + half) + half * _GL_NODES).ravel()
+        weights = _eiq(nodes, t, x, alpha)
+        weights *= (_GL_WEIGHTS * half).ravel()
+        yield nodes, weights
 
 
 def _node_ranges(nodes: np.ndarray, intervals) -> list:
@@ -463,32 +449,30 @@ def _windowed_integrals(amp, intervals, windows, t: float, x: float, alpha: floa
     ``levin_nodes`` = 0 every interval gets Gauss panels and ``amp`` needs no
     grid spacing.  The panel budget counts Levin cells and Gauss panels.
 
-    amp is evaluated once per node, and the window weights on at most
-    ``_NODE_CHUNK`` nodes at a time.  Each window is (window intervals, w): it
-    sums the weighted integrand over the cells and panels inside its
-    intervals, or over all of them when they are None; a weight of None is 1.
+    Both rules yield (nodes, complex weights) chunks; amp is evaluated once
+    per node, a chunk at a time.  Each window is (window intervals, w): it
+    sums the weighted integrand over the nodes inside its intervals, or over
+    all of them when they are None; a weight of None is 1.
     The window intervals must end at interval edges or where w vanishes, and
     the intervals must not overlap when a window names intervals.
     """
     pieces = _pieces(intervals, amp_scale, t, x, alpha)
-    blocks, spent = [], 0
+    rules, spent = [], 0
     if levin_nodes:
         cells, cell_widths, pieces = _levin_cells(pieces, amp.xi_spacing, t, x, alpha)
         spent = cells.size
         _spend(spent, budget)
-        blocks.append(_levin_blocks(amp, cells, cell_widths, t, x, alpha, levin_nodes))
+        rules.append(_levin_rule(cells, cell_widths, t, x, alpha, levin_nodes))
     starts, widths = _panels(pieces, t, x, alpha, budget, spent)
-    blocks.append(_gauss_blocks(amp, starts, widths, t, x, alpha))
+    rules.append(_gauss_rule(starts, widths, t, x, alpha))
     acc = [0.0 + 0.0j] * len(windows)
-    for nodes, integrand in itertools.chain(*blocks):
+    for nodes, weights in itertools.chain(*rules):
+        integrand = amp(nodes) * weights
         for j, (window, weight) in enumerate(windows):
             for lo, hi in _node_ranges(nodes, window):
-                if weight is None:
-                    acc[j] += np.sum(integrand[lo:hi])
-                else:
-                    for c in range(lo, hi, _NODE_CHUNK):
-                        end = min(c + _NODE_CHUNK, hi)
-                        acc[j] += np.sum(integrand[c:end] * weight(nodes[c:end]))
+                if lo < hi:  # most chunks hold none of a window's nodes
+                    part = integrand[lo:hi]
+                    acc[j] += np.sum(part if weight is None else part * weight(nodes[lo:hi]))
     return [complex(a) for a in acc]
 
 

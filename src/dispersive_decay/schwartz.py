@@ -91,4 +91,4 @@ def generate_schwartz(seed: int, index: int, band: tuple, grid: GridSpec) -> Sam
     raw = _mixture(grid, seed, index)
     hat = _forward_raw(grid, raw, out=np.empty_like(raw))
     hat *= _grid_band_window(grid, lo, hi_eff)
-    return SampledFunction(grid, _inverse_raw(grid, hat, out=raw), band_limit=hi_eff, _adopt=True)
+    return SampledFunction(grid, _inverse_raw(grid, hat, out=raw), _adopt=True)

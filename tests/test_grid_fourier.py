@@ -72,12 +72,6 @@ class TestGridSpec:
         with pytest.raises(InvalidInputError):
             GridSpec(**kwargs)
 
-    def test_band_limit_below_nyquist(self):
-        g = GridSpec(half_width=4.0, size=16)
-        with pytest.raises(InvalidInputError):
-            SampledFunction(g, np.zeros(16), band_limit=g.nyquist)
-        SampledFunction(g, np.zeros(16), band_limit=0.9 * g.nyquist)
-
     def test_values_immutable(self):
         g = GridSpec(half_width=4.0, size=16)
         f = SampledFunction(g, np.zeros(16))

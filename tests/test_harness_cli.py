@@ -138,7 +138,7 @@ class TestRunDecay:
     def test_homogeneity(self):
         # R(t) is invariant under phi -> c phi: both sides scale linearly
         f = generate_schwartz(0, 0, (0.5, 8.0), SMALL)
-        g = SampledFunction(f.grid, 10.0 * f.values, f.band_limit)
+        g = SampledFunction(f.grid, 10.0 * f.values)
         for phi_a, phi_b in ((f, g),):
             na, nb_ = norms(phi_a), norms(phi_b)
             ra = locate_sup(evolve_spectral(phi_a, 16.0, 0.5)).value / (na.h1 + na.weighted)
@@ -183,8 +183,7 @@ class TestRunDecay:
         # causal cone that the quadrature scan once assumed
         def shifted(seed, index, band, grid):
             phi = generate_schwartz(seed, index, band, grid)
-            return SampledFunction(grid, np.roll(phi.values, int(40.0 / grid.spacing)),
-                                   phi.band_limit)
+            return SampledFunction(grid, np.roll(phi.values, int(40.0 / grid.spacing)))
 
         monkeypatch.setattr(harness, "generate_schwartz", shifted)
         kwargs = dict(seed=0, n_samples=1, times=(4.0,), half_width=256.0,

@@ -405,22 +405,22 @@ class TestTraceEngine:
         # the partition of unity on one set of nodes
         passes = []
         windowed = proof_tracer._windowed_integrals
-        blocks = {name: getattr(propagator, name) for name in ("_levin_blocks", "_gauss_blocks")}
+        rules = {name: getattr(propagator, name) for name in ("_levin_rule", "_gauss_rule")}
 
         def spy_windowed(*args, **kwargs):
             passes.append([])
             return windowed(*args, **kwargs)
 
-        def spy_blocks(name):
+        def spy_rule(name):
             def spy(*args):
-                for nodes, integrand in blocks[name](*args):
+                for nodes, weights in rules[name](*args):
                     passes[-1].append(nodes)
-                    yield nodes, integrand
+                    yield nodes, weights
             return spy
 
         monkeypatch.setattr(proof_tracer, "_windowed_integrals", spy_windowed)
-        for name in blocks:
-            monkeypatch.setattr(propagator, name, spy_blocks(name))
+        for name in rules:
+            monkeypatch.setattr(propagator, name, spy_rule(name))
         trace = trace_terms(phi, self.T, self.X)
         assert len(passes) == 2
         shared, full = (np.concatenate(p) for p in passes)
@@ -454,11 +454,9 @@ class TestTraceEngine:
         assert outside and min(outside) > center_cap
 
     def test_block_size_does_not_matter(self, phi, monkeypatch):
-        # odd blocks of 97 panels and chunks of 101 nodes put window edges
-        # inside both; the sums only regroup, so they agree to rounding of the
-        # integrand's mass
+        # odd chunks of 101 nodes put window edges inside them; the sums only
+        # regroup, so they agree to rounding of the integrand's mass
         ref = self.magnitudes(trace_terms(phi, self.T, self.X))
-        monkeypatch.setattr(propagator, "_EVAL_BLOCK", 97)
         monkeypatch.setattr(propagator, "_NODE_CHUNK", 101)
         got = self.magnitudes(trace_terms(phi, self.T, self.X))
         mass = np.sum(np.abs(forward_ft(phi).values)) * GRID.xi_spacing / (2 * np.pi)

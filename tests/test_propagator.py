@@ -1,5 +1,7 @@
 """Propagator backends, stationary-phase geometry, and the factorization check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.interpolate import make_interp_spline
@@ -56,14 +58,12 @@ def ring(grid: GridSpec, center: float = 4.0, width: float = 1.0,
 class TestPhaseSpec:
     def test_derivatives_match_finite_differences(self):
         spec = PhaseSpec(alpha=0.5, t=3.0, x=-2.0)
-        h, h2 = 1e-5, 1e-4
+        h = 1e-5
         for xi in (0.3, 1.7, -5.0, 12.0):
-            fd1 = (spec.phi(xi + h) - spec.phi(xi - h)) / (2 * h)
-            fd2 = (spec.phi(xi + h2) - 2 * spec.phi(xi) + spec.phi(xi - h2)) / h2 ** 2
-            assert abs(spec.dphi(xi) - fd1) < 1e-7
-            assert abs(spec.d2phi(xi) - fd2) < 1e-6
             fdq = (spec.q(xi + h) - spec.q(xi - h)) / (2 * h)
+            fd2q = (spec.dq(xi + h) - spec.dq(xi - h)) / (2 * h)
             assert abs(spec.dq(xi) - fdq) < 1e-7
+            assert abs(spec.d2q(xi) - fd2q) < 1e-6
 
     def test_alpha_validation(self):
         for alpha in (0.0, 1.0, 1.5):
@@ -71,10 +71,10 @@ class TestPhaseSpec:
                 PhaseSpec(alpha=alpha)
 
     def test_half_curvature_formula(self):
-        # |Phi''(xi)| = (1/4)|xi|^{-3/2} for alpha = 1/2
-        spec = PhaseSpec(alpha=0.5)
+        # at t = 1, |Q''(xi)| = |Phi''(xi)| = (1/4)|xi|^{-3/2} for alpha = 1/2
+        spec = PhaseSpec(alpha=0.5, t=1.0)
         for xi in (0.5, 2.0, 9.0):
-            assert abs(spec.d2phi(xi)) == pytest.approx(0.25 * xi ** -1.5, rel=1e-12)
+            assert abs(spec.d2q(xi)) == pytest.approx(0.25 * xi ** -1.5, rel=1e-12)
 
 
 class TestEvolveSpectral:
@@ -330,6 +330,72 @@ class TestLevinRule:
         with pytest.raises(AccuracyNotMetError):
             _windowed_integrals(amp, amp.support, [(None, None)], 2048.0, -5000.0, 0.5,
                                 amp.xi_spacing, budget=10)
+
+
+class TestQuadratureRules:
+    """The Gauss and Levin rules as (nodes, complex weights) chunks."""
+
+    @pytest.mark.parametrize("rule", ["gauss", "levin10", "levin12"])
+    def test_closed_form(self, rule):
+        # int e^{i x xi} over each cell is (e^{ixb} - e^{ixa}) / (ix); at
+        # t = 0 the weights alone integrate it
+        x = 3.0
+        starts = np.array([-2.0, -0.5, 0.25, 1.0])
+        widths = np.array([0.25, 0.2, 0.5, 0.125])
+        if rule == "gauss":
+            chunks = propagator._gauss_rule(starts, widths, 0.0, x, 0.5)
+        else:
+            chunks = propagator._levin_rule(starts, widths, 0.0, x, 0.5, int(rule[5:]))
+        got = sum(np.sum(weights) for _, weights in chunks)
+        ends = starts + widths
+        exact = np.sum((np.exp(1j * x * ends) - np.exp(1j * x * starts)) / (1j * x))
+        assert abs(got - exact) < 1e-14
+
+    @pytest.mark.parametrize("levin_nodes", [10, 12])
+    def test_amplitude_sees_each_node_once(self, monkeypatch, levin_nodes):
+        # an odd chunk size splits both rules into several chunks
+        phi = generate_schwartz(0, 0, (0.5, 8.0), TRACE_GRID)
+        amp = SpectralAmplitude(phi.spectrum)
+        seen, counts = [], {}
+
+        class Recorder:
+            xi_spacing = amp.xi_spacing
+
+            def __call__(self, xi):
+                seen.append(np.array(xi))
+                return amp(xi)
+
+        def counting(name, fn):
+            def spy(*args):
+                out = fn(*args)
+                counts[name] = out[0].size
+                return out
+            return spy
+
+        monkeypatch.setattr(propagator, "_NODE_CHUNK", 1001)
+        for name in ("_levin_cells", "_panels"):
+            monkeypatch.setattr(propagator, name, counting(name, getattr(propagator, name)))
+        t = 4096.0
+        x = -t * _dominant_speed(phi, 0.5)
+        _windowed_integrals(Recorder(), amp.support, [(None, None)], t, x, 0.5,
+                            8.0 * amp.xi_spacing, levin_nodes=levin_nodes)
+        assert counts["_levin_cells"] > 0 and counts["_panels"] > 0
+        assert len(seen) > 2 and max(c.size for c in seen) <= 1001
+        nodes = np.concatenate(seen)
+        assert nodes.size == 8 * counts["_panels"] + levin_nodes * counts["_levin_cells"]
+        assert np.unique(nodes).size == nodes.size
+
+    def test_gauss_pass_memory_is_one_chunk(self):
+        # 185229 panels: a pass holding all of its nodes and weights at once
+        # would need about 50 MB
+        t = 2.0 ** 16
+        tracemalloc.start()
+        try:
+            oscillatory_integral(lambda xi: np.exp(-xi ** 2), [(0.5, 4.0)], t, -t, 0.5, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestStationaryPoint:
