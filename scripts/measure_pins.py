@@ -1,15 +1,24 @@
-"""Re-measure every regression-pinned constant on the default configurations.
+"""Re-measure every regression-pinned constant on the suites it was measured on.
+
+    PYTHONPATH=src python3 scripts/measure_pins.py
 
 Prints full-precision (17 significant digit) values in the layout used by
-``dispersive_decay/pins.py``.  Run after any intended behavior change, diff
-the output against the frozen values, and update the module only when the
-change is understood.
+``dispersive_decay/pins.py``, after a leading ``#`` line with the Python,
+numpy and scipy versions and the CPU count.  The decay, lemma and trace
+suites are those of ``cli.pinned_suites()``, the table the CLI gates its runs
+with.  Run after any intended behavior change, diff the output against the
+frozen values, and update the module only when the change is understood.
 """
 
+import platform
 import time
 
+import numpy as np
+import scipy
+
+from dispersive_decay.cli import pinned_suites
 from dispersive_decay.harness import (
-    SuiteConfig,
+    _cpus,
     run_decay,
     run_lemma_suites,
     run_trace_ratio_suite,
@@ -22,20 +31,21 @@ def g(v: float) -> str:
 
 
 def main() -> None:
+    print(f"# Python {platform.python_version()}, numpy {np.__version__}, "
+          f"scipy {scipy.__version__}, {_cpus()} CPUs", flush=True)
+    suites = pinned_suites()
     t0 = time.time()
 
     print("DECAY_MAX_RATIO = {")
-    for seed in (0, 1):
-        for alpha in (0.35, 0.4, 0.45, 0.5):
-            cfg = SuiteConfig(seed=seed, alpha=alpha)
-            reports = run_decay(cfg)
-            worst = max(max(r.ratios) for r in reports)
-            print(f"    ({seed}, {alpha}): {g(worst)},", flush=True)
+    for suite, _ in suites["verify-decay"]:
+        worst = max(max(r.ratios) for r in run_decay(suite))
+        print(f"    ({suite.seed}, {suite.alpha}): {g(worst)},", flush=True)
     print("}")
     print(f"# decay sweep: {time.time() - t0:.1f}s", flush=True)
 
     t1 = time.time()
-    table = run_lemma_suites(SuiteConfig(seed=0, n_samples=100))
+    ((suite, _),) = suites["lemma-suite"]
+    table = run_lemma_suites(suite, suite.grid())
     print("LEMMA_SUITE_MAXIMA = {")
     for row in table:
         print(f'    "{row["check"]}": {g(row["max"])},')
@@ -43,7 +53,8 @@ def main() -> None:
     print(f"# lemma suites: {time.time() - t1:.1f}s", flush=True)
 
     t2 = time.time()
-    maxima = run_trace_ratio_suite(SuiteConfig(seed=0, n_samples=10))
+    ((suite, _),) = suites["trace-proof"]
+    maxima = run_trace_ratio_suite(suite, suite.times, suite.grid())
     print("TRACE_RATIO_MAXIMA = {")
     for name, v in maxima.items():
         print(f'    "{name}": {g(v)},')

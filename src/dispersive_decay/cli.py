@@ -24,6 +24,7 @@ from .errors import (
 )
 from .harness import (
     DYADIC_TIMES,
+    LEMMA_GRID,
     TRACE_GRID,
     TRACE_SUITE_TIMES,
     SuiteConfig,
@@ -98,14 +99,55 @@ def _config(args) -> SuiteConfig:
     return SuiteConfig(**fields)
 
 
-def _decay_pin(config: SuiteConfig):
-    """The DECAY_MAX_RATIO pin of this run, if its samples are a prefix of the suite the pins
-    are maxima of: SuiteConfig's grid, band and time grid, and at most its 20 samples."""
-    suite = SuiteConfig()
-    if (config.grid() == suite.grid() and config.band == suite.band
-            and config.times == suite.times and config.n_samples <= suite.n_samples):
-        return pins.DECAY_MAX_RATIO.get((config.seed, config.alpha))
+def pinned_suites() -> dict:
+    """command -> [(suite, pins)]: each pin table of ``pins`` with the suite it was measured on.
+
+    DECAY_MAX_RATIO holds one suite per (seed, alpha) key: the default SuiteConfig there. The
+    lemma pins come from 100 seed-0 samples on LEMMA_GRID, the trace pins from 10 seed-0
+    samples at alpha 1/2, the default band, TRACE_GRID and the times TRACE_SUITE_TIMES.
+    The table is read from ``pins`` on each call, so it follows any change to a pin.
+    """
+    return {
+        "verify-decay": [(SuiteConfig(seed=seed, alpha=alpha), pin)
+                         for (seed, alpha), pin in pins.DECAY_MAX_RATIO.items()],
+        "lemma-suite": [(SuiteConfig(n_samples=100, half_width=LEMMA_GRID.half_width,
+                                     grid_n=LEMMA_GRID.size), pins.LEMMA_SUITE_MAXIMA)],
+        "trace-proof": [(SuiteConfig(n_samples=10, times=TRACE_SUITE_TIMES, grid_n=TRACE_GRID.size,
+                                     half_width=TRACE_GRID.half_width), pins.TRACE_RATIO_MAXIMA)],
+    }
+
+
+# the SuiteConfig fields a run must share with a pinned suite, where its command reads them
+_SUITE_FIELDS = ("seed", "alpha", "half_width", "grid_n", "band", "times")
+
+
+def run_pins(args):
+    """The pins that hold this run, or None: those of the suite of ``pinned_suites()`` the run
+    is a part of.
+
+    The run matches the suite on every field of ``_SUITE_FIELDS`` its command reads, its
+    samples are a prefix of the suite's, and a ``--time`` it reads is one of the suite's times
+    (trace-proof traces the first sample, so it is a prefix of any suite).
+    """
+    config = _config(args)
+    read = {_FIELD_NAMES.get(dest, dest) for dest in vars(args)}
+    for suite, pinned in pinned_suites().get(args.command, ()):
+        if (all(getattr(config, f) == getattr(suite, f) for f in _SUITE_FIELDS if f in read)
+                and ("n_samples" not in read or config.n_samples <= suite.n_samples)
+                and ("time" not in read or args.time in suite.times)):
+            return pinned
     return None
+
+
+def _pin_limit(pin: float) -> float:
+    """The most a pinned value may reach: PIN_HEADROOM times its pin, or a numerical floor of
+    1e-12 for a zero pin (a term structurally absent from the suite)."""
+    return max(pins.PIN_HEADROOM * pin, 1e-12)
+
+
+def _holds(value: float, pin: float) -> bool:
+    """Whether a value of a pinned run stays within its pin; a NaN does not."""
+    return value <= _pin_limit(pin)
 
 
 def cmd_verify_decay(args) -> int:
@@ -126,7 +168,7 @@ def cmd_verify_decay(args) -> int:
         global_max = max(global_max, max(finite))
         early.extend(v for t, v in zip(r.times, r.ratios) if t <= 64)
         late.extend(v for t, v in zip(r.times, r.ratios) if t >= 512)
-    pinned = _decay_pin(config)
+    pinned = run_pins(args)
     print(f"max R(t) over suite: {global_max:.6g} (pinned: {pinned})")
     if early and late:
         # Diagnostic only: ratio of the suite's late-window maximum to its
@@ -134,7 +176,7 @@ def cmd_verify_decay(args) -> int:
         # (1+|t|)^{-1/2} rate; values well above 1 suggest a slower rate or
         # samples still far from the stationary-phase regime.
         print(f"late/early window ratio: {max(late) / max(early):.4f}")
-    if pinned is not None and global_max > pins.PIN_HEADROOM * pinned:
+    if pinned is not None and not _holds(global_max, pinned):
         print("regression: max ratio exceeds pinned value", file=sys.stderr)
         status = max(status, EXIT_PIN_EXCEEDED)
     return status
@@ -143,25 +185,22 @@ def cmd_verify_decay(args) -> int:
 def cmd_lemma_suite(args) -> int:
     config = _config(args)
     table = run_lemma_suites(config, config.grid())
+    pinned = run_pins(args) or {}
     status = EXIT_PASS
     for row in table:
-        pinned = row["pinned"]
-        ok = True
-        if pinned is not None and math.isfinite(row["max"]):
-            ok = row["max"] <= pins.PIN_HEADROOM * pinned
-        line = (
-            f"{row['check']:>14}: n={row['n']:5d} undefined={row['n_undefined']} "
-            f"max={row['max']:.6g} median={row['median']:.6g} "
-            f"{'PASS' if ok else 'FAIL (pinned %.6g)' % pinned}"
-        )
-        print(line)
-        if not ok:
+        del row["skipped_k"]  # not a CSV column; the pin is the last one
+        pin = row["pinned"] = pinned.get(row["check"])
+        if pin is None:
+            verdict = "UNPINNED"
+        elif _holds(row["max"], pin):
+            verdict = "PASS"
+        else:
+            verdict = f"FAIL (pinned {pin:.6g})"
             status = EXIT_PIN_EXCEEDED
+        print(f"{row['check']:>14}: n={row['n']:5d} undefined={row['n_undefined']} "
+              f"max={row['max']:.6g} median={row['median']:.6g} {verdict}")
     if args.out:
-        write_csv(
-            [{k: v for k, v in row.items() if k != "skipped_k"} for row in table],
-            args.out,
-        )
+        write_csv(table, args.out)
     return status
 
 
@@ -184,34 +223,17 @@ def cmd_trace_proof(args) -> int:
             )
     if args.out:
         write_csv(result["rows"], args.out)
-    if not _trace_pinned(config, args.time):
-        print("pinned: none")
-        return EXIT_PASS
-    # zero pins mean "structurally absent": hold them to a numerical floor
-    limits = {name: max(pins.PIN_HEADROOM * pin, 1e-12)
-              for name, pin in pins.TRACE_RATIO_MAXIMA.items()}
-    print("pinned: " + ", ".join(f"{name} <= {v:.6g}" for name, v in limits.items()))
+    pinned = run_pins(args) or {}
+    print("pinned: " + (", ".join(f"{name} <= {_pin_limit(pin):.6g}"
+                                  for name, pin in pinned.items()) or "none"))
     status = EXIT_PASS
     for row in result["rows"]:
         name = row["section"]
-        if name in limits and row["bound_ratio"] > limits[name]:
+        if name in pinned and not _holds(row["bound_ratio"], pinned[name]):
             print(f"regression: bound ratio {name} = {row['bound_ratio']:.6g} exceeds "
-                  f"{limits[name]:.6g}", file=sys.stderr)
+                  f"{_pin_limit(pinned[name]):.6g}", file=sys.stderr)
             status = EXIT_PIN_EXCEEDED
     return status
-
-
-def _trace_pinned(config: SuiteConfig, t: float) -> bool:
-    """Whether trace-proof runs a ray of the suite TRACE_RATIO_MAXIMA were measured on.
-
-    That suite observes seed 0 at alpha 1/2, the default band and the trace
-    grid, at the times TRACE_SUITE_TIMES; its first sample on its dominant
-    ray is what trace-proof traces there, so each ratio stays below the
-    suite maximum.
-    """
-    return (config.seed == 0 and config.alpha == 0.5
-            and config.band == SuiteConfig().band and config.grid() == TRACE_GRID
-            and t in TRACE_SUITE_TIMES)
 
 
 def cmd_stationary_point(args) -> int:

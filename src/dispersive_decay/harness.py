@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import pins
 from .calculus import NormBundle, locate_sup, norms
 from .errors import (
     DomainTooSmallError,
@@ -93,8 +92,12 @@ class DecayReport:
     norm_bundle: NormBundle = field(compare=False, default=None)
 
 
-def _quadrature_sup(phi: SampledFunction, t: float, alpha: float,
-                    n_coarse: int = 192, refine_rounds: int = 3):
+# the quadrature sup's coarse scan points and its rounds of local refinement
+_SUP_SCAN_POINTS = 192
+_SUP_REFINE_ROUNDS = 3
+
+
+def _quadrature_sup(phi: SampledFunction, t: float, alpha: float):
     """Sup over x of |u(t, x)| via the quadrature backend.
 
     Coarse scan of the causal interval followed by local refinement near the
@@ -107,12 +110,12 @@ def _quadrature_sup(phi: SampledFunction, t: float, alpha: float,
     mag = np.abs(phi.values)
     extent = phi.grid.x[mag > _SUPPORT_RTOL * np.max(mag)]
     lo, hi = float(extent[0]) - reach, float(extent[-1]) + reach
-    xs = np.linspace(lo, hi, n_coarse)
+    xs = np.linspace(lo, hi, _SUP_SCAN_POINTS)
     vals = np.abs(evolve_quadrature(hat, t, xs, alpha))
-    width = (hi - lo) / (n_coarse - 1)
+    width = (hi - lo) / (_SUP_SCAN_POINTS - 1)
     best_x, best_v = float(xs[np.argmax(vals)]), float(np.max(vals))
     candidates = xs[np.argsort(vals)[-3:]]
-    for _ in range(refine_rounds):
+    for _ in range(_SUP_REFINE_ROUNDS):
         next_candidates = []
         for c in candidates:
             loc = np.linspace(c - width, c + width, 17)
@@ -162,26 +165,21 @@ def _decay_report(config: SuiteConfig, grid: GridSpec, i: int) -> DecayReport:
     denom = nb.h1 + nb.weighted
     sups, args, ratios, backends = [], [], [], []
     for t in config.times:
-        backend = config.backend
-        try:
-            if backend in ("auto", "spectral"):
+        backend, sup, xloc = config.backend, math.nan, math.nan
+        if backend != "quadrature":
+            try:
                 # no name holds u: it goes before the next time's evolution starts
                 sup, xloc = locate_sup(evolve_spectral(phi, t, config.alpha))
-                backends.append("spectral")
-            else:
-                raise DomainTooSmallError("forced quadrature", grid.half_width)
-        except DomainTooSmallError:
-            if config.backend == "spectral":
-                sups.append(math.nan)
-                args.append(math.nan)
-                ratios.append(math.nan)
-                backends.append("error:domain-too-small")
-                continue
+                backend = "spectral"
+            except DomainTooSmallError:
+                # auto falls back to quadrature; forced spectral records the guard
+                backend = "quadrature" if backend == "auto" else "error:domain-too-small"
+        if backend == "quadrature":
             sup, xloc = _quadrature_sup(phi, t, config.alpha)
-            backends.append("quadrature")
         sups.append(sup)
         args.append(xloc)
         ratios.append((1.0 + abs(t)) ** 0.5 * sup / denom)
+        backends.append(backend)
     return DecayReport(
         alpha=config.alpha, seed=config.seed, sample=i,
         times=tuple(config.times), sup_norms=tuple(sups),
@@ -267,7 +265,6 @@ def run_lemma_suites(config: SuiteConfig, grid: GridSpec | None = None) -> list:
                 "skipped_k": [k for k in k_values if k not in usable],
                 "max": float(np.max(arr)),
                 "median": float(np.median(arr)),
-                "pinned": pins.LEMMA_SUITE_MAXIMA.get(name),
             }
         )
     return table
@@ -277,6 +274,14 @@ def _dominant_speed(phi: SampledFunction, alpha: float) -> float:
     """Group speed |Phi'| at the spectral peak of phi; x = -t * speed is its dominant ray."""
     peak_xi = abs(float(phi.grid.xi[int(np.argmax(np.abs(phi.spectrum.values)))]))
     return phase_speed(peak_xi, alpha)
+
+
+def _trace_sample(config: SuiteConfig, i: int, grid: GridSpec | None) -> SampledFunction:
+    """Sample i of a trace suite, on TRACE_GRID unless ``grid`` is given, its band capped at
+    0.9 of the grid's Nyquist frequency."""
+    grid = grid or TRACE_GRID
+    band = (config.band[0], min(config.band[1], 0.9 * grid.nyquist))
+    return generate_schwartz(config.seed, i, band, grid)
 
 
 def run_trace(config: SuiteConfig, t: float, grid: GridSpec | None = None,
@@ -290,9 +295,7 @@ def run_trace(config: SuiteConfig, t: float, grid: GridSpec | None = None,
         raise ParameterError(
             "middle band is empty for |t| < 2^10; pass allow_empty_band to proceed"
         )
-    grid = grid or TRACE_GRID
-    band = (config.band[0], min(config.band[1], 0.9 * grid.nyquist))
-    phi = generate_schwartz(config.seed, 0, band, grid)
+    phi = _trace_sample(config, 0, grid)
     if x is None:
         x = -t * _dominant_speed(phi, config.alpha)
     trace = trace_terms(phi, t, x, config.alpha)
@@ -317,11 +320,9 @@ def run_trace_ratio_suite(config: SuiteConfig, times: tuple = TRACE_SUITE_TIMES,
     non-stationary regimes contribute too.  Returns the maxima keyed by term
     name; these are the quantities pinned as regression constants.
     """
-    grid = grid or TRACE_GRID
-    band = (config.band[0], min(config.band[1], 0.9 * grid.nyquist))
     maxima = {}
     for i in range(config.n_samples):
-        phi = generate_schwartz(config.seed, i, band, grid)
+        phi = _trace_sample(config, i, grid)
         speed = _dominant_speed(phi, config.alpha)
         amp = SpectralAmplitude(phi.spectrum)
         for t in times:
@@ -367,9 +368,6 @@ def tracer_constant_suite(alpha: float = 0.5,
 # CSV contract
 # ---------------------------------------------------------------------------
 
-DECAY_CSV_HEADER = ["seed", "sample", "alpha", "t", "sup_norm", "argmax_x", "ratio", "backend"]
-
-
 def _fmt(v) -> str:
     if isinstance(v, float):
         return format(v, ".17g")
@@ -397,12 +395,11 @@ def decay_rows(reports: list) -> list:
     return rows
 
 
-def write_csv(rows: list, path, header: list | None = None) -> None:
+def write_csv(rows: list, path) -> None:
     if not rows:
         raise ParameterError("refusing to write an empty report")
-    header = header or list(rows[0].keys())
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         for row in rows:
             writer.writerow({k: _fmt(v) for k, v in row.items()})

@@ -1,20 +1,39 @@
 """Regression-pinned empirical constants.
 
 The bounds verified by this package all carry implicit absolute constants; the
-suites therefore record the empirical maxima observed on the seeded default
-configurations, and later runs fail if a maximum grows by more than
-``PIN_HEADROOM`` (a genuine regression, not noise: every suite is a
-deterministic function of its seed).
+suites therefore record the empirical maxima observed on fixed seeded suites,
+and later runs fail if a maximum grows by more than ``PIN_HEADROOM`` (a
+genuine regression, not noise: every suite is a deterministic function of its
+seed).  A pin holds only a run inside the suite it was measured on:
+``cli.pinned_suites`` maps each gating command to that suite, and
+``scripts/measure_pins.py`` re-measures every table from the same map.
 
-Values below were measured on the default configurations (seed 0, and seed 1
-for the stability cross-checks) and frozen.  Update them only after verifying
-that a change in behavior is intended.
+The tables and the suites they were measured on:
+
+* ``DECAY_MAX_RATIO``: ``verify-decay`` at each (seed, alpha) key, otherwise
+  the default SuiteConfig: 20 samples, L = 8192, N = 2^17, band [0.25, 32]
+  clamped to the grid, the dyadic times 1, 2, ..., 2^10.
+* ``LEMMA_SUITE_MAXIMA``: ``lemma-suite`` on 100 seed-0 samples on LEMMA_GRID
+  (L = 200, N = 2^17), k in [-8, 8].
+* ``TRACE_RATIO_MAXIMA``: the criterion-9 trace suite, 10 seed-0 samples at
+  alpha 1/2, band [0.25, 32] clamped to TRACE_GRID (L = 200, N = 2^15),
+  t in {2^11, 2^12, 2^13}; ``trace-proof`` traces its first sample.
+* ``Q0_LOWER_CONSTANT`` and ``KERNEL_LOWER_CONSTANT``: the deterministic ray
+  sweep of ``tracer_constant_suite``, no samples.
+* ``EMBEDDING_CONSTANT``: analytic.
+
+The values were frozen on an earlier build and are not all bit-exact today.
+On numpy 2.4.6 (scipy 1.17.1, Python 3.11.7) ``LEMMA_SUITE_MAXIMA`` gives
+bern_1_2 1 ulp low (0.44429022822493619) and bern2_s1_p2 5.5e-10 relative
+high (1.7982564113842681), the other rows bit for bit; the present trace
+engine moves ``TRACE_RATIO_MAXIMA`` B1 by +9.9e-5 relative and A, B2 and C by
+at most 1.5e-9.  All of it sits inside ``PIN_HEADROOM``.  Update a table only
+after verifying that a change in behavior is intended.
 """
 
 PIN_HEADROOM = 1.01
 
-# run_lemma_suites, default lemma config (seed 0, 100 samples, L = 200, N = 2^17,
-# k in [-8, 8]); keys are row names, values the recorded suite maxima
+# keys are row names, values the recorded suite maxima
 LEMMA_SUITE_MAXIMA = {
     "bern_1_2": 0.44429022822493608,
     "bern_2_4": 0.69992889300685024,
@@ -24,9 +43,7 @@ LEMMA_SUITE_MAXIMA = {
     "lemma2_s0.75": 0.81732490915171696,
 }
 
-# verify-decay, default decay config (20 samples, band [0.25, 32] clamped to
-# the grid, dyadic t <= 2^10): global max of
-# R(t) = (1+|t|)^{1/2} sup / (H^1 + weighted), keyed by (seed, alpha)
+# global max of R(t) = (1+|t|)^{1/2} sup / (H^1 + weighted), keyed by (seed, alpha)
 DECAY_MAX_RATIO = {
     (0, 0.35): 0.32121522545440551,
     (0, 0.4): 0.30058217096036338,
@@ -42,12 +59,12 @@ DECAY_MAX_RATIO = {
 # the empirical suites must sit below it (this one cannot drift with samples)
 EMBEDDING_CONSTANT = 0.7071067811865476
 
-# proof tracer, 10-sample suite at t in {2^11, 2^12, 2^13}, observed on each
-# sample's dominant stationary ray and at rays 8x faster/slower: max over the
-# suite of each bound ratio.  B3 is structurally zero here: for these times
-# the middle band holds only a few annuli and no physical observer ray makes
-# them fast enough for the far-from-stationary high-frequency regime, so the
-# regression check treats a zero pin as "stay at the numerical floor".
+# proof tracer, observed on each sample's dominant stationary ray and at rays
+# 8x faster/slower: max over the suite of each bound ratio.  B3 is structurally
+# zero here: for these times the middle band holds only a few annuli and no
+# physical observer ray makes them fast enough for the far-from-stationary
+# high-frequency regime, so the regression check treats a zero pin as "stay at
+# the numerical floor".
 TRACE_RATIO_MAXIMA = {
     "A": 6.450828230937397e-07,
     "B1": 2.97029779320512e-09,

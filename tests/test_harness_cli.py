@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from dispersive_decay import harness, pins, propagator
+from dispersive_decay import cli, harness, pins, propagator
 from dispersive_decay.calculus import (
     fractional_derivative,
     locate_sup,
@@ -22,7 +22,7 @@ from dispersive_decay.calculus import (
     norms,
     weighted_norm,
 )
-from dispersive_decay.cli import _decay_pin, build_parser, main
+from dispersive_decay.cli import build_parser, main, run_pins
 from dispersive_decay.errors import ParameterError
 from dispersive_decay.grid import GridSpec, SampledFunction, _forward_raw, _inverse_raw, forward_ft
 from dispersive_decay.harness import (
@@ -570,19 +570,89 @@ class TestCli:
         assert "unrecognized arguments" in capsys.readouterr().err or argv == ["bernstein-suite"]
         assert list(tmp_path.iterdir()) == []
 
-    def test_verify_decay_pinned_only_on_a_prefix_of_the_pinned_suite(self, capsys):
-        # DECAY_MAX_RATIO holds the maxima of the default suite: its grid,
+    @pytest.mark.parametrize("argv, pin_table, key", [
+        # DECAY_MAX_RATIO holds the maxima of the default suite per (seed, alpha): its grid,
         # band and time grid, 20 samples
+        pytest.param(["verify-decay", "--samples", "1"], "DECAY_MAX_RATIO", (0, 0.5),
+                     id="decay-1-sample"),
+        pytest.param(["verify-decay"], "DECAY_MAX_RATIO", (0, 0.5), id="decay-default"),
+        pytest.param(["verify-decay", "--seed", "1", "--alpha", "0.4"], "DECAY_MAX_RATIO",
+                     (1, 0.4), id="decay-seed-1-alpha-0.4"),
+        pytest.param(["verify-decay", "--backend", "spectral"], "DECAY_MAX_RATIO", (0, 0.5),
+                     id="decay-backend-not-a-suite-field"),
+        pytest.param(["verify-decay", "--samples", "21"], None, None, id="decay-21-samples"),
+        pytest.param(["verify-decay", "--band", "0.5:8"], None, None, id="decay-band"),
+        pytest.param(["verify-decay", "--t-grid", "1,4"], None, None, id="decay-times"),
+        pytest.param(["verify-decay", "--half-width", "1024"], None, None,
+                     id="decay-half-width"),
+        pytest.param(["verify-decay", "--grid-n", "16384"], None, None, id="decay-grid-n"),
+        pytest.param(["verify-decay", "--samples", "1", "--grid-n", "16384", "--half-width",
+                      "1024", "--t-grid", "1,4"], None, None, id="decay-small-grid"),
+        pytest.param(["verify-decay", "--seed", "2"], None, None, id="decay-seed-2"),
+        pytest.param(["verify-decay", "--alpha", "0.3"], None, None, id="decay-alpha-0.3"),
+        # LEMMA_SUITE_MAXIMA: 100 seed-0 samples on LEMMA_GRID
+        pytest.param(["lemma-suite", "--samples", "1"], "LEMMA_SUITE_MAXIMA", None,
+                     id="lemma-1-sample"),
+        pytest.param(["lemma-suite", "--samples", "100"], "LEMMA_SUITE_MAXIMA", None,
+                     id="lemma-100-samples"),
+        pytest.param(["lemma-suite", "--samples", "101"], None, None, id="lemma-101-samples"),
+        pytest.param(["lemma-suite", "--seed", "611889900", "--samples", "1"], None, None,
+                     id="lemma-seed-611889900"),
+        pytest.param(["lemma-suite", "--grid-n", "32768"], None, None, id="lemma-grid-n"),
+        pytest.param(["lemma-suite", "--half-width", "100"], None, None,
+                     id="lemma-half-width"),
+        # TRACE_RATIO_MAXIMA: the first sample of seed 0 at alpha 1/2, the default band and
+        # TRACE_GRID, at a time of TRACE_SUITE_TIMES
+        pytest.param(["trace-proof"], "TRACE_RATIO_MAXIMA", None, id="trace-default"),
+        pytest.param(["trace-proof", "--time", "2048"], "TRACE_RATIO_MAXIMA", None,
+                     id="trace-time-2048"),
+        pytest.param(["trace-proof", "--time", "8192"], "TRACE_RATIO_MAXIMA", None,
+                     id="trace-time-8192"),
+        pytest.param(["trace-proof", "--time", "16384"], None, None, id="trace-time-16384"),
+        pytest.param(["trace-proof", "--seed", "1"], None, None, id="trace-seed-1"),
+        pytest.param(["trace-proof", "--alpha", "0.4"], None, None, id="trace-alpha-0.4"),
+        pytest.param(["trace-proof", "--band", "0.5:8"], None, None, id="trace-band"),
+        pytest.param(["trace-proof", "--grid-n", "65536"], None, None, id="trace-grid-n"),
+        pytest.param(["trace-proof", "--half-width", "100"], None, None,
+                     id="trace-half-width"),
+        # no pin table holds the other commands
+        pytest.param(["factorization-check"], None, None, id="factorization-check"),
+    ])
+    def test_pinned_only_inside_the_pinned_suite(self, argv, pin_table, key):
+        table = getattr(pins, pin_table) if pin_table else None
+        expected = table[key] if key is not None else table
+        assert run_pins(build_parser().parse_args(argv)) is expected
+
+    def test_verify_decay_prints_its_pin(self, capsys):
         assert main(["verify-decay", "--samples", "1", "--grid-n", "16384",
                      "--half-width", "1024", "--t-grid", "1,4"]) == 0
         assert "(pinned: None)" in capsys.readouterr().out
         assert main(["verify-decay", "--samples", "1"]) == 0
         assert f"(pinned: {pins.DECAY_MAX_RATIO[(0, 0.5)]})" in capsys.readouterr().out
-        for changed in (dict(n_samples=21), dict(band=(0.5, 8.0)), dict(times=(1.0, 4.0)),
-                        dict(half_width=1024.0), dict(grid_n=16384)):
-            assert _decay_pin(SuiteConfig(**changed)) is None
-        assert _decay_pin(SuiteConfig(seed=1, alpha=0.4, n_samples=20)) == \
-            pins.DECAY_MAX_RATIO[(1, 0.4)]
+
+    def test_lemma_suite_outside_its_suite_unpinned(self, tmp_path, capsys):
+        # this seed's bern2_s1_p2 reads 1.8258, above PIN_HEADROOM times the seed-0 pin
+        out = tmp_path / "lemma.csv"
+        assert main(["lemma-suite", "--seed", "611889900", "--samples", "1",
+                     "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6 and all(line.endswith(" UNPINNED") for line in lines)
+        assert "bern2_s1_p2: n=   15 undefined=0 max=1.8258 " in lines[3]
+        rows = read_csv_rows(out)
+        assert list(rows[0]) == ["check", "n", "n_undefined", "max", "median", "pinned"]
+        assert {row["pinned"] for row in rows} == {"None"}
+
+    def test_lemma_suite_gated_on_pins(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "lemma.csv"
+        assert main(["lemma-suite", "--samples", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.count(" PASS\n") == 6
+        assert {row["check"]: row["pinned"] for row in read_csv_rows(out)} == \
+            pins.LEMMA_SUITE_MAXIMA
+        monkeypatch.setitem(pins.LEMMA_SUITE_MAXIMA, "bern_2_4", 0.5)
+        assert main(["lemma-suite", "--samples", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].endswith(" FAIL (pinned 0.5)")
+        assert sum(line.endswith(" PASS") for line in lines) == 5
 
     def test_cached_parser_gives_fresh_parser_outputs(self, tmp_path, capsys):
         argvs = (["trace-proof", "--band", "0.5:8", "--out"],
@@ -693,3 +763,13 @@ class TestCli:
         monkeypatch.setitem(pins.TRACE_RATIO_MAXIMA, "C", 0.1)
         assert main(["trace-proof"]) == 1
         assert "bound ratio C" in capsys.readouterr().err
+
+    def test_trace_proof_nan_ratio_fails_at_a_pinned_ray(self, monkeypatch, capsys):
+        def with_nan(*args, **kwargs):
+            result = run_trace(*args, **kwargs)
+            next(r for r in result["rows"] if r["section"] == "B2")["bound_ratio"] = math.nan
+            return result
+
+        monkeypatch.setattr(cli, "run_trace", with_nan)
+        assert main(["trace-proof"]) == 1
+        assert "regression: bound ratio B2 = nan exceeds" in capsys.readouterr().err
