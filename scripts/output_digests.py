@@ -16,6 +16,10 @@ The outputs are
 * the lemma tables of ``run_lemma_suites`` (5 samples) at seeds 0, 1 and 7,
   every float as hex;
 * the 2-sample criterion-9 maxima of ``run_trace_ratio_suite``, as hex;
+* every magnitude of ``trace_terms`` with its annuli (u, the defect, the
+  pieces, the low block, each term's value and ratio, the annuli and q0) at
+  seeds 0-4, bands 0.5:8 and 0.25:32 on ``TRACE_GRID``, t = 2048 and 4096,
+  on the rays 1/8, 1 and 8 times the dominant speed, as hex;
 * ``evolve_quadrature`` of the first fallback sample at t = 1024 and
   x = linspace(-400, 0, 7) on that grid, and one pure-Gauss
   ``oscillatory_integral`` of 185229 panels, every float as hex: the
@@ -38,7 +42,14 @@ import numpy as np
 
 from dispersive_decay.cli import main as cli_main
 from dispersive_decay.grid import GridSpec
-from dispersive_decay.harness import SuiteConfig, run_lemma_suites, run_trace_ratio_suite
+from dispersive_decay.harness import (
+    TRACE_GRID,
+    SuiteConfig,
+    _dominant_speed,
+    run_lemma_suites,
+    run_trace_ratio_suite,
+)
+from dispersive_decay.proof_tracer import trace_terms
 from dispersive_decay.propagator import evolve_quadrature, oscillatory_integral
 from dispersive_decay.schwartz import generate_schwartz
 
@@ -74,6 +85,29 @@ def gauss_integral() -> str:
                                              t, -t, 0.5, 0.01)])
 
 
+def trace_annuli() -> str:
+    lines = []
+    for band in ((0.5, 8.0), (0.25, 32.0)):
+        for seed in range(5):
+            phi = generate_schwartz(seed, 0, band, TRACE_GRID)
+            speed = _dominant_speed(phi, 0.5)
+            for t in (2048.0, 4096.0):
+                for ray_factor in (0.125, 1.0, 8.0):
+                    tr = trace_terms(phi, t, -t * speed * ray_factor, 0.5, True)
+                    lines.append(f"band={band} seed={seed} t={t} ray={ray_factor}")
+                    lines.append(f"u={complex_hex([tr.u_value])} "
+                                 f"defect={hexed(tr.reconstruction_defect)} "
+                                 f"low={hexed(tr.low_mag)}")
+                    lines += [f"piece {k}={hexed(m)}" for k, m in sorted(tr.piece_mags.items())]
+                    lines += [f"term {name}={hexed(v.value)} {hexed(v.ratio)}"
+                              for name, v in tr.terms.items()]
+                    lines += [f"annulus {k} {label}={hexed(m)}"
+                              for k, ann in sorted(tr.annuli.items()) for label, m in ann]
+                    lines += [f"q0 {key}={hexed(v.value)} {hexed(v.ratio)}"
+                              for key, v in sorted(tr.q0_map.items())]
+    return "\n".join(lines)
+
+
 def lemma_table(seed: int) -> str:
     rows = run_lemma_suites(SuiteConfig(seed=seed, n_samples=5))
     return "\n".join(" ".join(f"{key}={hexed(row[key])}" for key in sorted(row))
@@ -98,6 +132,7 @@ def outputs():
     yield "criterion9-maxima/2-samples", lambda: "\n".join(
         f"{name}={v.hex()}"
         for name, v in run_trace_ratio_suite(SuiteConfig(seed=0, n_samples=2)).items())
+    yield "trace-terms/annuli", trace_annuli
     yield "evolve-quadrature/fallback-grid/7-points", fallback_quadrature
     yield "oscillatory-integral/pure-gauss", gauss_integral
 

@@ -34,7 +34,7 @@ from .harness import (
     run_trace,
     write_csv,
 )
-from .propagator import factorization_residual, stationary_point
+from .propagator import PhaseSpec, factorization_residual, stationary_point
 from .schwartz import generate_schwartz
 
 EXIT_PASS = 0
@@ -241,8 +241,6 @@ def cmd_stationary_point(args) -> int:
     if xi0 is None:
         print("no stationary point (x = 0 or t = 0)")
         return EXIT_PASS
-    from .propagator import PhaseSpec
-
     spec = PhaseSpec(alpha=args.alpha, t=args.time, x=args.x)
     print(f"xi0 = {xi0:.17g}")
     print(f"Q'(xi0) = {float(spec.dq(xi0)):.3e}")

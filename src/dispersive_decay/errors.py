@@ -27,10 +27,6 @@ class DomainTooSmallError(ValueError):
 class AccuracyNotMetError(RuntimeError):
     """Oscillatory quadrature exhausted its refinement budget."""
 
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
 
 class ParameterError(ValueError):
     """Parameter outside its documented range."""

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .grid import _SUPPORT_RTOL, GridSpec, SampledFunction
 from .littlewood_paley import _lemma_denominator, _Piece, resolvable_k
-from .propagator import SpectralAmplitude, evolve_quadrature, evolve_spectral, phase_speed
+from .propagator import evolve_quadrature, evolve_spectral, phase_speed
 from .proof_tracer import choose_l0, kernel_lower_bound, q0_estimate, trace_terms
 from .schwartz import generate_schwartz, schwartz_sample
 
@@ -324,11 +324,10 @@ def run_trace_ratio_suite(config: SuiteConfig, times: tuple = TRACE_SUITE_TIMES,
     for i in range(config.n_samples):
         phi = _trace_sample(config, i, grid)
         speed = _dominant_speed(phi, config.alpha)
-        amp = SpectralAmplitude(phi.spectrum)
         for t in times:
             for ray_factor in (0.125, 1.0, 8.0):
                 x = -t * speed * ray_factor
-                tr = trace_terms(phi, t, x, config.alpha, with_annuli=False, _amp=amp)
+                tr = trace_terms(phi, t, x, config.alpha, with_annuli=False)
                 for name, term in tr.terms.items():
                     maxima[name] = max(maxima.get(name, 0.0), term.ratio)
     return maxima

@@ -6,11 +6,14 @@ by the index sets I1/I2/I3 (how the ray x/t compares with the group speeds on
 the annulus), and a high block (C).  Every term integrates the same
 amplitude against its own window (psi_k, the low bump, or an annulus around
 the stationary point), so all of them come from one set of quadrature cells
-per (t, x) with one amplitude evaluation per node; the full integral u(t, x)
-is computed apart, on its own cells, so the reconstruction defect compares
-two quadratures.  Each term is reported together with the ratio to the right side
-of the bound it must satisfy; the constants are implicit in the analysis, so
-the suites pin the empirical ratios instead of asserting absolute thresholds.
+per (t, x) with one amplitude evaluation per node.  A window is the
+propagator's (intervals, weight, cap), keyed here by its label; the
+propagator cuts the support at the window edges and caps the cells.  The
+full integral u(t, x) is computed apart, on its own cells, so the
+reconstruction defect compares two quadratures.  Each term is reported
+together with the ratio to the right side of the bound it must satisfy; the
+constants are implicit in the analysis, so the suites pin the empirical
+ratios instead of asserting absolute thresholds.
 
 Index-set membership uses closed inequalities exactly as stated, so a boundary
 k may belong to two sets; it is recorded in both (upper bounds tolerate double
@@ -32,6 +35,7 @@ from .grid import SampledFunction, l2_norm_physical
 from .littlewood_paley import _BUMP, _annulus_holds, _in_band
 from .propagator import (
     SpectralAmplitude,
+    _amplitude,
     _dq,
     _windowed_integrals,
     stationary_point,
@@ -76,8 +80,6 @@ class BandPartition:
     t: float
     x: float
     alpha: float
-    lambda_t: float
-    Lambda_t: float
     middle: tuple
     I1: tuple
     I2: tuple
@@ -134,8 +136,7 @@ def build_partition(t: float, x: float, alpha: float = 0.5) -> BandPartition:
     sets = {k: _ray_sets(k, t, x, alpha) for k in middle}
     I1, I2, I3 = (tuple(k for k in middle if name in sets[k]) for name in ("I1", "I2", "I3"))
     return BandPartition(
-        t=t, x=x, alpha=alpha, lambda_t=lam, Lambda_t=Lam,
-        middle=middle, I1=I1, I2=I2, I3=I3,
+        t=t, x=x, alpha=alpha, middle=middle, I1=I1, I2=I2, I3=I3,
         a_max_k=a_max, c_min_k=c_min, flagged=bool(x == 0.0),
     )
 
@@ -159,16 +160,6 @@ def _intersect(iv1, iv2):
             lo, hi = max(a, c), min(b, d)
             if lo < hi:
                 out.append((lo, hi))
-    return out
-
-
-def _cut(intervals, points):
-    """The intervals split at every point strictly inside one of them."""
-    points = sorted(set(points))
-    out = []
-    for (a, b) in intervals:
-        edges = [a, *(p for p in points if a < p < b), b]
-        out.extend(zip(edges[:-1], edges[1:]))
     return out
 
 
@@ -230,15 +221,14 @@ def choose_l0(k: int, t: float, alpha: float) -> int:
     return round((2.0 - alpha) * k / 2.0 - 0.5 * math.log2(abs(t)))
 
 
-def _annulus_windows(amp: SpectralAmplitude, k: int, t: float, x: float, alpha: float) -> list:
+def _annulus_windows(amp: SpectralAmplitude, k: int, t: float, x: float, alpha: float) -> dict:
     """The stationary-phase windows of band k: the centre, then the l-annuli around xi0.
 
-    Each window is (label, intervals, weight, cap): label "center" or l, the
-    part of supp psi_k it covers, the weight psi_k times the centre bump or
-    psi_l(. - xi0), and the cell width that resolves that weight.  The
-    centre always comes first (its intervals may be empty); an l-annulus is
-    listed only where it meets the band.  The l-sum stops once 2^{l-1}
-    exceeds the reach of supp psi_k around xi0.
+    Keyed (k, "center") and (k, l): the part of supp psi_k each covers, the
+    weight psi_k times the centre bump or psi_l(. - xi0), and the cell width
+    that resolves that weight.  The centre always comes first (its intervals
+    may be empty); an l-annulus is listed only where it meets the band.  The
+    l-sum stops once 2^{l-1} exceeds the reach of supp psi_k around xi0.
     """
     xi0 = stationary_point(t, x, alpha)
     l0 = choose_l0(k, t, alpha)
@@ -249,7 +239,7 @@ def _annulus_windows(amp: SpectralAmplitude, k: int, t: float, x: float, alpha: 
         return _BUMP.dyadic_piece(xi, k) * _BUMP((xi - xi0) / 2.0**l0)
 
     center_band = _intersect(band, [(xi0 - 2.0 ** (l0 + 1), xi0 + 2.0 ** (l0 + 1))])
-    out = [("center", center_band, center_weight, min(scale, 2.0**l0 / 4.0))]
+    out = {(k, "center"): (center_band, center_weight, min(scale, 2.0**l0 / 4.0))}
     reach = 2.0 ** (k + 1) + abs(xi0)
     l = l0 + 1
     while 2.0 ** (l - 1) <= reach:
@@ -259,37 +249,8 @@ def _annulus_windows(amp: SpectralAmplitude, k: int, t: float, x: float, alpha: 
             def annulus_weight(xi, _l=l):
                 return _BUMP.dyadic_piece(xi, k) * _BUMP.dyadic_piece(xi - xi0, _l)
 
-            out.append((l, pieces, annulus_weight, min(scale, 2.0**l / 4.0)))
+            out[(k, l)] = (pieces, annulus_weight, min(scale, 2.0**l / 4.0))
         l += 1
-    return out
-
-
-def _integrate_windows(amp: SpectralAmplitude, intervals, windows, t: float, x: float,
-                       alpha: float) -> dict:
-    """One engine pass over the intervals for (label, intervals, weight, cap) windows.
-
-    The intervals (ascending) are cut at every window edge, so each window is
-    a union of whole cells and panels.  A cut interval is capped by the
-    smallest cap among the windows that cover it, and left out when none
-    does; a window with no intervals gets 0.  Returns label -> integral.
-    """
-    live = [w for w in windows if w[1]]
-    out = {label: 0.0j for label, *_ in windows}
-    if live:
-        edges = [e for _, iv, *_ in live for ab in iv for e in ab]
-        pieces = _cut(intervals, edges)
-        mids = np.array([0.5 * (a + b) for a, b in pieces])
-        caps = np.full(mids.size, np.inf)
-        for _, iv, _, cap in live:
-            for lo, hi in iv:
-                span = slice(np.searchsorted(mids, lo), np.searchsorted(mids, hi))
-                caps[span] = np.minimum(caps[span], cap)
-        keep = np.isfinite(caps)
-        vals = _windowed_integrals(
-            amp, [p for p, k in zip(pieces, keep) if k],
-            [(iv, weight) for _, iv, weight, _ in live], t, x, alpha, amp_scale=caps[keep],
-        )
-        out.update(zip((label for label, *_ in live), vals))
     return out
 
 
@@ -305,24 +266,21 @@ class ProofTrace:
     low_mag: float
     terms: dict
     s_choice: float
-    l0_choices: dict = field(default_factory=dict)
     q0_map: dict = field(default_factory=dict)
     annuli: dict = field(default_factory=dict)
 
 
 def trace_terms(phi: SampledFunction, t: float, x: float, alpha: float = 0.5,
-                with_annuli: bool = True, *, _amp: SpectralAmplitude | None = None
-                ) -> ProofTrace:
+                with_annuli: bool = True) -> ProofTrace:
     """Compute |P_k u(t, x)| for every active band and aggregate the proof terms.
 
     ``terms`` maps each term, A to C, to its value and its ratio to the right side
     of its bound: finite, recorded ratios standing in for the implicit constants.
-    ``_amp`` is phi's spectral amplitude when the caller already built it.
     """
     if t == 0.0:
         raise ParameterError("t must be nonzero")
     part = build_partition(t, x, alpha)
-    amp = SpectralAmplitude(phi.spectrum) if _amp is None else _amp
+    amp = _amplitude(phi.spectrum)
     if not amp.support:
         return ProofTrace(
             partition=part, u_value=0.0j, reconstruction_defect=0.0,
@@ -342,30 +300,31 @@ def trace_terms(phi: SampledFunction, t: float, x: float, alpha: float = 0.5,
     k_lo = min(active)
 
     scale8 = 8.0 * amp.xi_spacing
-    windows = [
-        (k, _intersect(_annulus_intervals(k), amp.support),
-         functools.partial(_BUMP.dyadic_piece, k=k), min(scale8, 2.0**k / 8.0))
+    windows = {
+        k: (_intersect(_annulus_intervals(k), amp.support),
+            functools.partial(_BUMP.dyadic_piece, k=k), min(scale8, 2.0**k / 8.0))
         for k in active
-    ]
+    }
 
     def low_weight(xi):
         return _BUMP(xi / 2.0 ** (k_lo - 1))
 
     low_band = _intersect([(-(2.0**k_lo), 0.0 - amp.xi_spacing * 0.25),
                            (amp.xi_spacing * 0.25, 2.0**k_lo)], amp.support)
-    windows.append(("low", low_band, low_weight, min(scale8, 2.0**k_lo / 8.0)))
-    annulus_ks = [k for k in part.I2 if k in active] if with_annuli and not part.flagged else []
-    stationary = {k: _annulus_windows(amp, k, t, x, alpha) for k in annulus_ks}
-    for k, annulus_windows in stationary.items():
-        windows += [((k, label), *rest) for label, *rest in annulus_windows]
-    vals = _integrate_windows(amp, amp.support, windows, t, x, alpha)
+    windows["low"] = (low_band, low_weight, min(scale8, 2.0**k_lo / 8.0))
+    if with_annuli and not part.flagged:
+        for k in part.I2:
+            if k in active:
+                windows.update(_annulus_windows(amp, k, t, x, alpha))
+    vals = dict(zip(windows, _windowed_integrals(amp, amp.support, list(windows.values()),
+                                                 t, x, alpha)))
     pieces_c = {k: vals[k] / (2.0 * np.pi) for k in active}
     low_c = vals["low"] / (2.0 * np.pi)
 
     # the full integral on its own cells, with their own node count and no
     # edge at a window cut, so the defect compares two quadratures
-    u_val = _windowed_integrals(amp, amp.support, [(None, None)], t, x, alpha,
-                                amp_scale=scale8, levin_nodes=_U_LEVIN_NODES)[0] / (2.0 * np.pi)
+    u_val = _windowed_integrals(amp, amp.support, [(None, None, scale8)], t, x, alpha,
+                                levin_nodes=_U_LEVIN_NODES)[0] / (2.0 * np.pi)
     recon = low_c + sum(pieces_c.values())
     defect = abs(recon - u_val)
 
@@ -395,21 +354,19 @@ def trace_terms(phi: SampledFunction, t: float, x: float, alpha: float = 0.5,
         value = low + sum(m for k, m in mags.items() if band in members[k])
         terms[name] = BoundedValue(value, ratio(value))
 
-    l0s, q0s, annuli = {}, {}, {}
-    for k in annulus_ks:
-        l0s[k] = choose_l0(k, t, alpha)
-        annuli[k] = [(label, abs(vals[(k, label)]) / (2.0 * np.pi))
-                     for label, *_ in stationary[k]]
-        for (l, _m) in annuli[k]:
-            if l == "center":
-                continue
+    q0s, annuli = {}, {}
+    for key, val in vals.items():
+        if not isinstance(key, tuple):
+            continue
+        k, l = key
+        annuli.setdefault(k, []).append((l, abs(val) / (2.0 * np.pi)))
+        if l != "center":
             est = q0_estimate(k, l, t, x, alpha)
             if est is not None:
-                q0s[(k, l)] = est
+                q0s[key] = est
 
     return ProofTrace(
         partition=part, u_value=u_val, reconstruction_defect=defect,
         piece_mags=mags, memberships=members, low_mag=abs(low_c),
-        terms=terms, s_choice=s_choice,
-        l0_choices=l0s, q0_map=q0s, annuli=annuli,
+        terms=terms, s_choice=s_choice, q0_map=q0s, annuli=annuli,
     )

@@ -13,16 +13,20 @@ Two backends:
   quintic spline on the xi grid, so it is smooth on each grid cell and the
   phase is the only difficulty.  The spline's banded collocation matrix
   depends on the grid alone: its LU factorisation is cached per grid
-  (``_collocation``), and each sample pays only the back-substitution.
+  (``_collocation``), and the spline itself is built once per spectrum
+  (``_amplitude``).
   Two rules give nodes with complex weights that absorb exp(iQ).  Where the
   phase is fast, a grid cell is a Levin cell: a collocation rule (Levin,
   Math. Comp. 38, 1982) whose error falls as the frequency grows (Olver, IMA
   J. Numer. Anal. 26, 2006).  Around the stationary point and where the
   phase is slow, 8-point Gauss panels refined by the local phase increment
   take over, with weights w_j exp(iQ(xi_j)).  The amplitude is evaluated
-  once per node, in one place, and one set of nodes serves several windowed
-  integrals of it (``_windowed_integrals``).  ``oscillatory_integral`` keeps
-  the Gauss panels everywhere: the reference the Levin rule is tested against.
+  once per node, in one place, and one set of nodes serves several windows
+  (``_windowed_integrals``).  A window is (intervals, weight, cap): where it
+  integrates, what it multiplies the amplitude by, and the widest cell that
+  resolves that weight; only this module cuts the support at window edges
+  and caps the cells.  ``oscillatory_integral`` keeps the Gauss panels
+  everywhere: the reference the Levin rule is tested against.
 
 Both agree on band-limited data inside the guard, and that agreement is one of
 the headline cross-checks of the harness.
@@ -266,23 +270,38 @@ class SpectralAmplitude:
         return pairs.view(np.complex128).reshape(np.shape(xi))
 
 
-def _pieces(intervals, amp_scale, t: float, x: float, alpha: float) -> list:
-    """(a, b, cap) for each interval, split at xi0, in ascending order.
+def _amplitude(F: SpectralFunction) -> SpectralAmplitude:
+    """F's spectral amplitude, built once per spectrum and kept on it."""
+    cache = F.__dict__
+    if "_amplitude" not in cache:
+        cache["_amplitude"] = SpectralAmplitude(F)
+    return cache["_amplitude"]
 
-    ``amp_scale`` is one width cap for every interval or one cap per interval.
+
+def _pieces(intervals, windows, t: float, x: float, alpha: float) -> list:
+    """(a, b, cap) pieces of the intervals, in ascending order.
+
+    The intervals are cut at the stationary point and at every window edge,
+    so each window is a union of whole pieces.  A piece gets the smallest cap
+    among the windows that cover it (a window of None intervals covers all)
+    and is left out when none does.
     """
-    caps = np.broadcast_to(np.asarray(amp_scale, dtype=float), (len(intervals),))
-    if np.any(caps <= 0):
-        raise ParameterError("amp_scale must be positive")
+    if any(cap <= 0 for *_, cap in windows):
+        raise ParameterError("window caps must be positive")
     xi0 = stationary_point(t, x, alpha)
+    points = sorted({e for iv, *_ in windows if iv for ab in iv for e in ab}
+                    | ({xi0} if xi0 is not None else set()))
     out = []
-    for (a, b), cap in sorted(zip(intervals, caps.tolist())):
-        if b <= a:
-            continue
-        if a < 0 < b:
-            raise ParameterError("intervals must not straddle xi = 0")
-        edges = [a, xi0, b] if xi0 is not None and a < xi0 < b else [a, b]
-        out.extend((lo, hi, cap) for lo, hi in zip(edges[:-1], edges[1:]))
+    for (a, b) in sorted(intervals):
+        edges = [a, *(p for p in points if a < p < b), b]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            caps = [cap for iv, _, cap in windows
+                    if iv is None or any(c <= lo and hi <= d for c, d in iv)]
+            if hi <= lo or not caps:
+                continue
+            if lo < 0 < hi:
+                raise ParameterError("intervals must not straddle xi = 0")
+            out.append((lo, hi, min(caps)))
     return out
 
 
@@ -290,8 +309,7 @@ def _spend(total: int, budget: int) -> None:
     if total > budget:
         raise AccuracyNotMetError(
             f"panel budget {budget} exhausted (needed > {total}); "
-            "phase too oscillatory for the requested accuracy",
-            achieved=_MAX_PHASE * total / budget,
+            "phase too oscillatory for the requested accuracy"
         )
 
 
@@ -437,26 +455,25 @@ def _node_ranges(nodes: np.ndarray, intervals) -> list:
 
 
 def _windowed_integrals(amp, intervals, windows, t: float, x: float, alpha: float,
-                        amp_scale, budget: int = 1 << 23, levin_nodes: int = _LEVIN_NODES) -> list:
+                        budget: int = 1 << 23, levin_nodes: int = _LEVIN_NODES) -> list:
     """int amp(xi) w(xi) exp(i (x xi + t |xi|^alpha)) dxi for each window, from one rule.
 
-    The intervals, split at the stationary point, are cut at the grid points
-    of ``amp`` (its ``xi_spacing``) into cells no wider than the interval's
-    cap (``amp_scale``: one for all intervals or one per interval).  Where
-    the phase is fast a cell is a Levin cell with ``levin_nodes`` nodes
-    (``_levin_cells``); the maximal runs of the other cells, around xi0 and
-    wherever the phase is slow, get phase-refined 8-point Gauss panels.  With
-    ``levin_nodes`` = 0 every interval gets Gauss panels and ``amp`` needs no
-    grid spacing.  The panel budget counts Levin cells and Gauss panels.
+    Each window is (window intervals, w, cap): it sums the weighted
+    integrand over the nodes inside its intervals, or over all of them when
+    they are None; a weight of None is 1.  The (a, b, cap) pieces of
+    ``_pieces`` are cut at the grid points of ``amp`` (its ``xi_spacing``)
+    into cells no wider than their cap.  Where the phase is fast a cell is a
+    Levin cell with ``levin_nodes`` nodes (``_levin_cells``); the maximal
+    runs of the other cells, around xi0 and wherever the phase is slow, get
+    phase-refined 8-point Gauss panels.  With ``levin_nodes`` = 0 every piece
+    gets Gauss panels and ``amp`` needs no grid spacing.  The panel budget
+    counts Levin cells and Gauss panels.
 
     Both rules yield (nodes, complex weights) chunks; amp is evaluated once
-    per node, a chunk at a time.  Each window is (window intervals, w): it
-    sums the weighted integrand over the nodes inside its intervals, or over
-    all of them when they are None; a weight of None is 1.
-    The window intervals must end at interval edges or where w vanishes, and
-    the intervals must not overlap when a window names intervals.
+    per node, a chunk at a time.  The intervals must not overlap when a
+    window names intervals.
     """
-    pieces = _pieces(intervals, amp_scale, t, x, alpha)
+    pieces = _pieces(intervals, windows, t, x, alpha)
     rules, spent = [], 0
     if levin_nodes:
         cells, cell_widths, pieces = _levin_cells(pieces, amp.xi_spacing, t, x, alpha)
@@ -468,7 +485,7 @@ def _windowed_integrals(amp, intervals, windows, t: float, x: float, alpha: floa
     acc = [0.0 + 0.0j] * len(windows)
     for nodes, weights in itertools.chain(*rules):
         integrand = amp(nodes) * weights
-        for j, (window, weight) in enumerate(windows):
+        for j, (window, weight, _) in enumerate(windows):
             for lo, hi in _node_ranges(nodes, window):
                 if lo < hi:  # most chunks hold none of a window's nodes
                     part = integrand[lo:hi]
@@ -485,8 +502,8 @@ def oscillatory_integral(amp, intervals, t: float, x: float, alpha: float,
     ``amp_scale`` caps the panel width so that the Gauss rule also resolves
     the amplitude.
     """
-    return _windowed_integrals(amp, intervals, [(None, None)], t, x, alpha,
-                               amp_scale, budget, levin_nodes=0)[0]
+    return _windowed_integrals(amp, intervals, [(None, None, amp_scale)], t, x, alpha,
+                               budget, levin_nodes=0)[0]
 
 
 def evolve_quadrature(phi_hat: SpectralFunction, t: float, x_points, alpha: float = 0.5) -> list:
@@ -497,7 +514,7 @@ def evolve_quadrature(phi_hat: SpectralFunction, t: float, x_points, alpha: floa
     """
     if not (0 < alpha < 1):
         raise ParameterError("alpha must lie in (0, 1)")
-    amp = SpectralAmplitude(phi_hat)
+    amp = _amplitude(phi_hat)
     if amp.excluded_mass > 0 and t != 0.0:
         warnings.warn(
             f"spectral amplitude is not negligible near xi = 0; excluded mass "
@@ -505,11 +522,10 @@ def evolve_quadrature(phi_hat: SpectralFunction, t: float, x_points, alpha: floa
             UserWarning,
             stacklevel=2,
         )
-    amp_scale = 8.0 * amp.xi_spacing
+    full = [(None, None, 8.0 * amp.xi_spacing)]
     out = []
     for x in np.atleast_1d(np.asarray(x_points, dtype=float)):
-        val = _windowed_integrals(amp, amp.support, [(None, None)], t, float(x), alpha,
-                                  amp_scale)[0]
+        val = _windowed_integrals(amp, amp.support, full, t, float(x), alpha)[0]
         out.append(val / (2.0 * np.pi))
     return out
 

@@ -431,15 +431,16 @@ class TestTraceEngine:
     def test_window_caps_stay_on_their_intervals(self, phi, monkeypatch):
         # the centre window's narrow cap must not narrow the rest of the pass
         passes = []
-        windowed = proof_tracer._windowed_integrals
+        cut = propagator._pieces
 
-        def spy(amp, intervals, windows, *args, amp_scale, **kwargs):
-            passes.append((intervals, np.broadcast_to(amp_scale, (len(intervals),))))
-            return windowed(amp, intervals, windows, *args, amp_scale=amp_scale, **kwargs)
+        def spy(*args):
+            passes.append(cut(*args))
+            return passes[-1]
 
-        monkeypatch.setattr(proof_tracer, "_windowed_integrals", spy)
+        monkeypatch.setattr(propagator, "_pieces", spy)
         trace = trace_terms(phi, self.T, self.X)
-        pieces, caps = passes[0]
+        pieces = [(a, b) for a, b, _ in passes[0]]
+        caps = [cap for *_, cap in passes[0]]
         xi0 = stationary_point(self.T, self.X, 0.5)
         k = min(trace.annuli)
         l0 = choose_l0(k, self.T, 0.5)
@@ -466,9 +467,7 @@ class TestTraceEngine:
 
     def test_panel_budget(self, phi):
         amp = SpectralAmplitude(forward_ft(phi))
-        windows = [(None, None), (amp.support, lambda xi: np.ones_like(xi))]
-        _windowed_integrals(amp, amp.support, windows, self.T, self.X, 0.5,
-                            amp_scale=0.1, budget=1 << 20)
+        windows = [(None, None, 0.1), (amp.support, lambda xi: np.ones_like(xi), 0.1)]
+        _windowed_integrals(amp, amp.support, windows, self.T, self.X, 0.5, budget=1 << 20)
         with pytest.raises(AccuracyNotMetError):
-            _windowed_integrals(amp, amp.support, windows, self.T, self.X, 0.5,
-                                amp_scale=0.1, budget=100)
+            _windowed_integrals(amp, amp.support, windows, self.T, self.X, 0.5, budget=100)

@@ -28,6 +28,7 @@ from dispersive_decay.harness import (
     TRACE_GRID,
     SuiteConfig,
     _dominant_speed,
+    run_decay,
     run_trace_ratio_suite,
 )
 from dispersive_decay.propagator import (
@@ -271,6 +272,73 @@ class TestSpectralAmplitude:
         assert fresh_collocation.cache_info().currsize == 0
 
 
+class TestWindows:
+    """Windows as (intervals, weight, cap): one pass cuts, caps and sums them."""
+
+    T = 2048.0
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        phi = generate_schwartz(0, 0, (0.5, 8.0), TRACE_GRID)
+        amp = SpectralAmplitude(phi.spectrum)
+        x = -self.T * _dominant_speed(phi, 0.5)
+        xi0 = stationary_point(self.T, x, 0.5)
+        d = amp.xi_spacing
+        band = [(-4.0, -1.0), (1.0, 4.0)]
+        windows = [
+            (None, None, 8.0 * d),
+            (band, lambda xi: np.cos(xi) ** 2, 0.5 * d),
+            ([(xi0 - 0.2, xi0 + 0.2)], lambda xi: (1.0 - ((xi - xi0) / 0.2) ** 2) ** 4, 0.25 * d),
+        ]
+        return amp, x, windows
+
+    def integrals(self, amp, x, windows):
+        return np.array(_windowed_integrals(amp, amp.support, windows, self.T, x, 0.5))
+
+    def test_window_order_does_not_matter(self, setup):
+        amp, x, windows = setup
+        ref = self.integrals(amp, x, windows)
+        assert np.all(ref != 0)
+        for order in ([2, 0, 1], [1, 2, 0], [2, 1, 0]):
+            got = self.integrals(amp, x, [windows[i] for i in order])
+            np.testing.assert_array_equal(got.view(np.uint64), ref[order].view(np.uint64))
+
+    def test_empty_window_adds_nothing(self, setup):
+        amp, x, windows = setup
+        ref = self.integrals(amp, x, windows)
+        # its cap would narrow every cell it covered; it covers none
+        got = self.integrals(amp, x, [windows[0], ([], np.cos, 1e-6), *windows[1:]])
+        assert got[1] == 0j
+        np.testing.assert_array_equal(np.delete(got, 1).view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("cap", [0.0, -0.5])
+    def test_cap_must_be_positive(self, setup, cap):
+        amp, x, windows = setup
+        with pytest.raises(ParameterError):
+            self.integrals(amp, x, [*windows, (None, None, cap)])
+        with pytest.raises(ParameterError):
+            oscillatory_integral(lambda xi: np.exp(-xi ** 2), [(0.5, 4.0)], self.T, x, 0.5,
+                                 amp_scale=cap)
+
+    def test_spline_built_once_per_spectrum(self, monkeypatch):
+        builds = []
+        init = SpectralAmplitude.__init__
+
+        def spy(self, F):
+            builds.append(F)
+            init(self, F)
+
+        monkeypatch.setattr(SpectralAmplitude, "__init__", spy)
+        run_trace_ratio_suite(SuiteConfig(n_samples=1))
+        assert len(builds) == 1
+        # every time of this grid is past the wrap guard: the quadrature sup
+        # evaluates u at 10 sets of points per time
+        cfg = SuiteConfig(n_samples=1, times=(256.0, 512.0), half_width=256.0,
+                          grid_n=8192, band=(0.5, 8.0))
+        assert run_decay(cfg)[0].backends == ("quadrature", "quadrature")
+        assert len(builds) == 2
+
+
 class TestLevinRule:
     """The Levin cells of the windowed rule against the pure Gauss reference."""
 
@@ -288,7 +356,7 @@ class TestLevinRule:
         x = -t * _dominant_speed(phi, alpha) * ray_factor
         scale = 8.0 * amp.xi_spacing
         gauss = oscillatory_integral(amp, amp.support, t, x, alpha, scale)
-        levin = _windowed_integrals(amp, amp.support, [(None, None)], t, x, alpha, scale)[0]
+        levin = _windowed_integrals(amp, amp.support, [(None, None, scale)], t, x, alpha)[0]
         assert abs(levin - gauss) <= 1e-13 * mass
 
     def test_cell_classification(self):
@@ -328,8 +396,8 @@ class TestLevinRule:
         grid = GridSpec(half_width=200.0, size=4096)
         amp = SpectralAmplitude(generate_schwartz(0, 0, (0.5, 4.0), grid).spectrum)
         with pytest.raises(AccuracyNotMetError):
-            _windowed_integrals(amp, amp.support, [(None, None)], 2048.0, -5000.0, 0.5,
-                                amp.xi_spacing, budget=10)
+            _windowed_integrals(amp, amp.support, [(None, None, amp.xi_spacing)], 2048.0,
+                                -5000.0, 0.5, budget=10)
 
 
 class TestQuadratureRules:
@@ -377,8 +445,8 @@ class TestQuadratureRules:
             monkeypatch.setattr(propagator, name, counting(name, getattr(propagator, name)))
         t = 4096.0
         x = -t * _dominant_speed(phi, 0.5)
-        _windowed_integrals(Recorder(), amp.support, [(None, None)], t, x, 0.5,
-                            8.0 * amp.xi_spacing, levin_nodes=levin_nodes)
+        _windowed_integrals(Recorder(), amp.support, [(None, None, 8.0 * amp.xi_spacing)],
+                            t, x, 0.5, levin_nodes=levin_nodes)
         assert counts["_levin_cells"] > 0 and counts["_panels"] > 0
         assert len(seen) > 2 and max(c.size for c in seen) <= 1001
         nodes = np.concatenate(seen)
