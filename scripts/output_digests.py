@@ -27,6 +27,19 @@ The outputs are
 
 Each line is ``<name> <sha256>``; ``--show`` adds the hashed text under it.
 It takes about 20 s on one core.
+
+``scripts/ledger.txt`` holds the digests of this build between the ``#``
+line of library versions and the re-measured pins of ``measure_pins.py``.
+
+    PYTHONPATH=src python3 scripts/output_digests.py --check
+    PYTHONPATH=src python3 scripts/output_digests.py --ledger > scripts/ledger.txt
+
+``--check`` recomputes every line, names each one that differs and exits 1
+if any does (about 50 s). On other Python, numpy or scipy versions it
+compares nothing, fails and names both; the CPU count is recorded, not
+compared, because only the number of threads follows it. ``--ledger``
+prints a new ledger; a change that moves bits on purpose commits the lines
+it moves.
 """
 
 from __future__ import annotations
@@ -34,9 +47,11 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import os
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -52,6 +67,10 @@ from dispersive_decay.harness import (
 from dispersive_decay.proof_tracer import trace_terms
 from dispersive_decay.propagator import evolve_quadrature, oscillatory_integral
 from dispersive_decay.schwartz import generate_schwartz
+
+import measure_pins
+
+LEDGER = Path(__file__).with_name("ledger.txt")
 
 
 def cli_output(argv: list) -> str:
@@ -137,13 +156,52 @@ def outputs():
     yield "oscillatory-integral/pure-gauss", gauss_integral
 
 
-def main(argv: list) -> int:
-    show = "--show" in argv
+def digest_lines(names=None, show=False):
+    """``<name> <sha256>`` of each output, or of those in ``names``; ``show`` adds the text."""
     for name, produce in outputs():
-        text = produce()
-        print(name, hashlib.sha256(text.encode()).hexdigest(), flush=True)
-        if show:
-            print(text)
+        if names is None or name in names:
+            text = produce()
+            yield f"{name} {hashlib.sha256(text.encode()).hexdigest()}"
+            if show:
+                yield text
+
+
+def ledger_lines():
+    yield measure_pins.versions()
+    yield from digest_lines()
+    yield from measure_pins.pin_lines()
+
+
+def _libraries(versions_line: str) -> str:
+    return versions_line.rsplit(",", 1)[0]  # the CPU count is the last field
+
+
+def check(names=None) -> list:
+    """The ledger lines this checkout does not reproduce, each named; [] when all match.
+
+    ``names`` limits the check to those digest lines.
+    """
+    want = LEDGER.read_text(encoding="utf-8").splitlines()
+    here = measure_pins.versions()
+    if _libraries(want[0]) != _libraries(here):
+        return [f"library versions differ: the ledger is of {want[0][2:]}; this is {here[2:]}"]
+    if names is None:
+        expected, got = want[1:], list(ledger_lines())[1:]
+    else:
+        expected = [line for line in want if line.split(" ", 1)[0] in names]
+        got = list(digest_lines(names))
+    return [f"ledger: {e}\n  here: {g}"
+            for e, g in itertools.zip_longest(expected, got, fillvalue="(missing)") if e != g]
+
+
+def main(argv: list) -> int:
+    if "--check" in argv:
+        differ = check()
+        print("\n".join(differ) if differ else f"ledger check passed: {LEDGER}")
+        return 1 if differ else 0
+    lines = ledger_lines() if "--ledger" in argv else digest_lines(show="--show" in argv)
+    for line in lines:
+        print(line, flush=True)
     return 0
 
 

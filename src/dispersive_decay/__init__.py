@@ -24,7 +24,6 @@ from .grid import (
     SpectralFunction,
     forward_ft,
     inverse_ft,
-    plancherel_defect,
 )
 from .harness import DecayReport, SuiteConfig, run_decay, run_lemma_suites, run_trace
 from .littlewood_paley import (
@@ -33,7 +32,6 @@ from .littlewood_paley import (
     bernstein_ratio,
     lemma1_ratio,
     lemma2_ratio,
-    make_bump,
     project,
 )
 from .proof_tracer import (

@@ -41,7 +41,6 @@ from .grid import (
 
 __all__ = [
     "BumpFunction",
-    "make_bump",
     "project",
     "bernstein_ratio",
     "bernstein_derivative_ratio",
@@ -88,10 +87,6 @@ class BumpFunction:
 
 # the bump psi of every dyadic piece
 _BUMP = BumpFunction()
-
-
-def make_bump() -> BumpFunction:
-    return _BUMP
 
 
 def _in_band(grid: GridSpec, k: int) -> bool:

@@ -22,13 +22,10 @@ The tables and the suites they were measured on:
   sweep of ``tracer_constant_suite``, no samples.
 * ``EMBEDDING_CONSTANT``: analytic.
 
-The values were frozen on an earlier build and are not all bit-exact today.
-On numpy 2.4.6 (scipy 1.17.1, Python 3.11.7) ``LEMMA_SUITE_MAXIMA`` gives
-bern_1_2 1 ulp low (0.44429022822493619) and bern2_s1_p2 5.5e-10 relative
-high (1.7982564113842681), the other rows bit for bit; the present trace
-engine moves ``TRACE_RATIO_MAXIMA`` B1 by +9.9e-5 relative and A, B2 and C by
-at most 1.5e-9.  All of it sits inside ``PIN_HEADROOM``.  Update a table only
-after verifying that a change in behavior is intended.
+The values were frozen on an earlier build and are not all bit-exact today:
+``scripts/ledger.txt`` holds what the present build measures, with its library
+versions, and every difference sits inside ``PIN_HEADROOM``.  Update a table
+only after verifying that a change in behavior is intended.
 """
 
 PIN_HEADROOM = 1.01

@@ -7,7 +7,7 @@ import pytest
 
 from dispersive_decay.errors import BoundaryDecayWarning
 from dispersive_decay.grid import GridSpec, SampledFunction
-from dispersive_decay.littlewood_paley import make_bump
+from dispersive_decay.littlewood_paley import BumpFunction
 
 
 # One line per end-to-end acceptance criterion, filled in by
@@ -44,7 +44,7 @@ def grid200():
 
 @pytest.fixture(scope="session")
 def bump():
-    return make_bump()
+    return BumpFunction()
 
 
 def gaussian(grid: GridSpec, a: float = 0.5, x0: float = 0.0, b: float = 0.0,

@@ -21,7 +21,7 @@ from dispersive_decay.harness import (
     run_trace_ratio_suite,
     tracer_constant_suite,
 )
-from dispersive_decay.littlewood_paley import make_bump
+from dispersive_decay.littlewood_paley import BumpFunction
 from dispersive_decay.proof_tracer import (
     _annulus_intervals,
     _intersect,
@@ -69,7 +69,7 @@ def test_criterion_1_unitarity_and_group_law():
 
 
 def test_criterion_2_partition_of_unity():
-    bump = make_bump()
+    bump = BumpFunction()
     xi = np.concatenate([
         np.geomspace(2.0 ** -7, 2.0 ** 7, 200000),
         -np.geomspace(2.0 ** -7, 2.0 ** 7, 200000),

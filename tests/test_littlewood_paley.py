@@ -17,11 +17,11 @@ from dispersive_decay.littlewood_paley import (
     _Piece,
     _windowed_piece,
     _workspace,
+    BumpFunction,
     bernstein_derivative_ratio,
     bernstein_ratio,
     lemma1_ratio,
     lemma2_ratio,
-    make_bump,
     project,
     resolvable_k,
 )
@@ -275,7 +275,7 @@ class TestPieceEngine:
     @pytest.mark.parametrize("p", [1, 4, np.inf])
     def test_derivative_ratio_matches_lp_norm(self, grid200, p):
         f = schwartz_sample(grid200, 0, 2)
-        bump = make_bump()
+        bump = BumpFunction()
         for s in (0.5, 1.0):
             for k in (-2, 0, 3):
                 piece_hat = bump.dyadic_piece(grid200.xi, k) * f.spectrum.values

@@ -7,7 +7,7 @@ from dispersive_decay import propagator, proof_tracer
 from dispersive_decay.errors import AccuracyNotMetError, DomainTooSmallError, ParameterError
 from dispersive_decay.grid import GridSpec, SampledFunction, SpectralFunction, forward_ft, inverse_ft
 from dispersive_decay.harness import _dominant_speed
-from dispersive_decay.littlewood_paley import make_bump
+from dispersive_decay.littlewood_paley import BumpFunction
 from dispersive_decay.proof_tracer import (
     _annulus_intervals,
     _intersect,
@@ -225,7 +225,7 @@ class TestAnnulusDecomposition:
         k = next(k for k in trace.annuli if 0 <= k <= 3)
         total = sum(m for _, m in trace.annuli[k])
         amp = SpectralAmplitude(forward_ft(phi))
-        bump = make_bump()
+        bump = BumpFunction()
 
         def band_amp(xi):
             return amp(xi) * bump.dyadic_piece(xi, k)
@@ -356,7 +356,7 @@ class TestTraceEngine:
         trace = trace_terms(phi, t, x)
         assert trace.annuli
         amp = SpectralAmplitude(forward_ft(phi))
-        bump = make_bump()
+        bump = BumpFunction()
         scale8 = 8.0 * amp.xi_spacing
 
         def integral(weight, intervals, cap):
