@@ -9,9 +9,10 @@ The outputs are
   (exit code, standard output and CSV);
 * the pinned default ``verify-decay`` (20 samples, seed 0, alpha 0.5);
 * ``verify-decay`` with 2 samples at t = 1024 on a 2^13 grid of half-width
-  256, band 0.5:8: the wrap guard trips and the quadrature sup runs for
-  both samples, the configuration of ``test_auto_policy_switches_to_quadrature``
-  with one sample more;
+  256, band 0.5:8: the wrap guard trips and the quadrature fallback finds
+  both samples' sups, the configuration of ``test_auto_policy_switches_to_quadrature``
+  with one sample more; and the same run's sups and argmax as hex, cheap
+  enough for the lines tier-1 checks;
 * ``trace-proof --band 0.5:8`` at seeds 0-4 (the same three);
 * the lemma tables of ``run_lemma_suites`` (5 samples) at seeds 0, 1 and 7,
   every float as hex;
@@ -55,12 +56,14 @@ from pathlib import Path
 
 import numpy as np
 
+from dispersive_decay.cli import _config, build_parser
 from dispersive_decay.cli import main as cli_main
 from dispersive_decay.grid import GridSpec
 from dispersive_decay.harness import (
     TRACE_GRID,
     SuiteConfig,
     _dominant_speed,
+    run_decay,
     run_lemma_suites,
     run_trace_ratio_suite,
 )
@@ -90,6 +93,17 @@ def hexed(v) -> str:
 
 def complex_hex(values) -> str:
     return "\n".join(f"{v.real.hex()} {v.imag.hex()}" for v in map(complex, values))
+
+
+FALLBACK = ["verify-decay", "--samples", "2", "--t-grid", "1024", "--half-width", "256",
+            "--grid-n", "8192", "--band", "0.5:8"]
+
+
+def fallback_sups() -> str:
+    """Each sup norm and argmax of the ``FALLBACK`` run, as hex."""
+    reports = run_decay(_config(build_parser().parse_args(FALLBACK)))
+    return "\n".join(f"{hexed(v)} {hexed(x)}" for r in reports
+                     for v, x in zip(r.sup_norms, r.argmax_x))
 
 
 def fallback_quadrature() -> str:
@@ -140,9 +154,8 @@ def outputs():
                    lambda s=seed, a=alpha: cli_output(
                        ["verify-decay", "--seed", str(s), "--alpha", a, "--samples", "4"]))
     yield "verify-decay/pinned-default", lambda: cli_output(["verify-decay"])
-    yield "verify-decay/quadrature-fallback/2-samples", lambda: cli_output(
-        ["verify-decay", "--samples", "2", "--t-grid", "1024", "--half-width", "256",
-         "--grid-n", "8192", "--band", "0.5:8"])
+    yield "verify-decay/quadrature-fallback/2-samples", lambda: cli_output(FALLBACK)
+    yield "decay-sups/quadrature-fallback/2-samples", fallback_sups
     for seed in range(5):
         yield (f"trace-proof/seed{seed}",
                lambda s=seed: cli_output(["trace-proof", "--seed", str(s), "--band", "0.5:8"]))

@@ -177,11 +177,17 @@ def locate_sup(f: SampledFunction) -> SupResult:
     i = int(np.argmax(mag))
     if i == 0 or i == f.grid.size - 1:
         return SupResult(float(mag[i]), float(f.grid.x[i]))
-    ym, y0, yp = mag[i - 1], mag[i], mag[i + 1]
-    denom = ym - 2.0 * y0 + yp
-    if denom >= 0:  # flat or degenerate neighborhood
-        return SupResult(float(y0), float(f.grid.x[i]))
-    delta = 0.5 * (ym - yp) / denom
-    delta = float(np.clip(delta, -0.5, 0.5))
-    value = y0 - 0.25 * (ym - yp) * delta
+    delta, value = _vertex(mag[i - 1], mag[i], mag[i + 1], 0.5)
     return SupResult(float(value), float(f.grid.x[i] + delta * f.grid.spacing))
+
+
+def _vertex(ym, y0, yp, limit: float):
+    """(offset, value) of the vertex of the parabola through (-1, ym), (0, y0), (1, yp), the
+    offset clipped to +-limit; where the three are not concave, that vertex is no maximum,
+    and it is the largest of the three points instead (the middle one on a tie)."""
+    denom = ym - 2.0 * y0 + yp
+    if denom >= 0:
+        value, offset = max((y0, 0.0), (ym, -1.0), (yp, 1.0), key=lambda point: point[0])
+        return offset, value
+    delta = float(np.clip(0.5 * (ym - yp) / denom, -limit, limit))
+    return delta, y0 - 0.25 * (ym - yp) * delta

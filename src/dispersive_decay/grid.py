@@ -36,9 +36,8 @@ import scipy.fft
 
 from .errors import BoundaryDecayWarning, InvalidInputError
 
-# spectral samples (and, for the quadrature sup scan, physical ones) at or
-# below this fraction of the peak magnitude count as unoccupied: round-off of
-# the transform, not content of the function
+# spectral samples at or below this fraction of the peak magnitude count as
+# unoccupied: round-off of the transform, not content of the function
 _SUPPORT_RTOL = 1e-13
 
 __all__ = [

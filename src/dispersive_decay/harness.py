@@ -20,16 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import NormBundle, locate_sup, norms
+from .calculus import NormBundle, _vertex, locate_sup, norms
 from .errors import (
     DomainTooSmallError,
     ParameterError,
     SuiteDegenerateError,
     UndefinedRatioError,
 )
-from .grid import _SUPPORT_RTOL, GridSpec, SampledFunction
+from .grid import GridSpec, SampledFunction, SpectralFunction, inverse_ft
 from .littlewood_paley import _lemma_denominator, _Piece, resolvable_k
-from .propagator import evolve_quadrature, evolve_spectral, phase_speed
+from .propagator import _amplitude, _node_ranges, evolve_quadrature, evolve_spectral, phase_speed
 from .proof_tracer import choose_l0, kernel_lower_bound, q0_estimate, trace_terms
 from .schwartz import generate_schwartz, schwartz_sample
 
@@ -92,41 +92,35 @@ class DecayReport:
     norm_bundle: NormBundle = field(compare=False, default=None)
 
 
-# the quadrature sup's coarse scan points and its rounds of local refinement
-_SUP_SCAN_POINTS = 192
-_SUP_REFINE_ROUNDS = 3
-
-
 def _quadrature_sup(phi: SampledFunction, t: float, alpha: float):
-    """Sup over x of |u(t, x)| via the quadrature backend.
+    """Sup over x of |u(t, x)|, located by the spectral backend and valued by quadrature.
 
-    Coarse scan of the causal interval followed by local refinement near the
-    top candidates: the maximum rides the stationary ray, and a single local
-    search can miss competing lobes.  The causal interval is the extent of phi
-    (|phi| above 1e-13 of its peak) widened by |t| times the fastest group speed.
+    phi's spectral spline is sampled on the grid (R L, R N), at phi's spacing h, with R
+    the least power of 2 for which R L passes both the reach of u(t) (L plus |t| times
+    the fastest group speed) and the wrap guard; ``locate_sup`` finds the argmax there.
+    Two 3-point vertex steps of |u| by quadrature, with stencils h/2 then h/8, each
+    moving at most one stencil, refine it: 7 evaluations of u, the last being the value.
     """
-    hat = phi.spectrum
-    reach = abs(t) * phase_speed(hat.occupied_band()[0], alpha)
-    mag = np.abs(phi.values)
-    extent = phi.grid.x[mag > _SUPPORT_RTOL * np.max(mag)]
-    lo, hi = float(extent[0]) - reach, float(extent[-1]) + reach
-    xs = np.linspace(lo, hi, _SUP_SCAN_POINTS)
-    vals = np.abs(evolve_quadrature(hat, t, xs, alpha))
-    width = (hi - lo) / (_SUP_SCAN_POINTS - 1)
-    best_x, best_v = float(xs[np.argmax(vals)]), float(np.max(vals))
-    candidates = xs[np.argsort(vals)[-3:]]
-    for _ in range(_SUP_REFINE_ROUNDS):
-        next_candidates = []
-        for c in candidates:
-            loc = np.linspace(c - width, c + width, 17)
-            lv = np.abs(evolve_quadrature(hat, t, loc, alpha))
-            i = int(np.argmax(lv))
-            if lv[i] > best_v:
-                best_v, best_x = float(lv[i]), float(loc[i])
-            next_candidates.append(loc[i])
-        candidates = next_candidates
-        width /= 8.0
-    return best_v, best_x
+    hat, grid = phi.spectrum, phi.grid
+    amp = _amplitude(hat)
+    r, reach = 1, grid.half_width + abs(t) * phase_speed(hat.occupied_band()[0], alpha)
+    while True:
+        while r * grid.half_width <= reach:
+            r *= 2
+        wide = GridSpec(r * grid.half_width, r * grid.size)
+        values = np.zeros(wide.size, dtype=np.complex128)
+        for lo, hi in _node_ranges(wide.xi, amp.support):
+            values[lo:hi] = amp(wide.xi[lo:hi])
+        try:
+            u = evolve_spectral(inverse_ft(SpectralFunction(wide, values, _adopt=True)), t, alpha)
+            break
+        except DomainTooSmallError as err:
+            reach = max(err.min_half_width, r * grid.half_width)
+    x = locate_sup(u).x
+    for stencil in (0.5 * grid.spacing, 0.125 * grid.spacing):
+        ym, y0, yp = np.abs(evolve_quadrature(hat, t, [x - stencil, x, x + stencil], alpha))
+        x += _vertex(ym, y0, yp, 1.0)[0] * stencil
+    return float(abs(evolve_quadrature(hat, t, [x], alpha)[0])), x
 
 
 def _cpus() -> int:

@@ -7,12 +7,14 @@ import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
-# The cheapest line of each path, 1.6 s together against 13 s for all 22
+# The cheapest line of each path, 2.0 s together against 9 s for all 23
 # lines and 37 s for the pins (one run, 2 vCPU): the decay CLI (transforms and
-# evolution at 2^17), the trace CLI, the lemma tables, the Levin and Gauss
-# quadrature of the fallback grid, and the pure Gauss rule (185k panels)
+# evolution at 2^17), the quadrature fallback's sups and argmax as hex
+# (0.12 s), the trace CLI, the lemma tables, the Levin and Gauss quadrature of
+# the fallback grid, and the pure Gauss rule (185k panels)
 CHEAP_LINES = (
     "verify-decay/seed1/alpha0.4",
+    "decay-sups/quadrature-fallback/2-samples",
     "trace-proof/seed0",
     "lemma-table/seed7",
     "evolve-quadrature/fallback-grid/7-points",

@@ -332,7 +332,8 @@ class TestWindows:
         run_trace_ratio_suite(SuiteConfig(n_samples=1))
         assert len(builds) == 1
         # every time of this grid is past the wrap guard: the quadrature sup
-        # evaluates u at 10 sets of points per time
+        # samples the spline on its wider grid and evaluates u at 3 sets of
+        # points per time
         cfg = SuiteConfig(n_samples=1, times=(256.0, 512.0), half_width=256.0,
                           grid_n=8192, band=(0.5, 8.0))
         assert run_decay(cfg)[0].backends == ("quadrature", "quadrature")
