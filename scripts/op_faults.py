@@ -37,7 +37,7 @@ def _cli(argv: list) -> None:
 
 def _lemma(seed: int, index: int, csv: str) -> None:
     rows = run_lemma_suites(SuiteConfig(seed=seed, n_samples=1))
-    write_csv([{k: v for k, v in row.items() if k != "skipped_k"} for row in rows], csv)
+    write_csv(rows, csv)
 
 
 def _decay(seed: int, index: int, csv: str) -> None:

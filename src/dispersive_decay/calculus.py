@@ -15,12 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BoundaryDecayWarning,
-    InvalidInputError,
-    ParameterError,
-    SingularMultiplierError,
-)
+from .errors import BoundaryDecayWarning, InvalidInputError, ParameterError
 from .grid import (
     GridSpec,
     SampledFunction,
@@ -69,29 +64,17 @@ def _abs_xi_power(grid: GridSpec, s: float) -> np.ndarray:
 
 
 def fractional_derivative(f: SampledFunction, s: float) -> SampledFunction:
-    """Apply the multiplier |xi|^s, i.e. the operator (-Laplacian)^{s/2}.
+    """Apply the multiplier |xi|^s, i.e. the operator (-Laplacian)^{s/2}, for s >= 0.
 
-    The zero mode is mapped to 0 for s > 0 (the limit value) and rejected for
-    s < 0 unless it already vanishes.
+    The zero mode is mapped to 0 for s > 0 (the limit value).
     """
     _check_finite(f, "fractional_derivative")
-    if s <= -1:
-        raise ParameterError("order s must be > -1")
+    if s < 0:
+        raise ParameterError("order s must be >= 0")
     if s == 0:
         return f
-    hat = f.spectrum.values
-    mult = _abs_xi_power(f.grid, s)
-    if s < 0:
-        zero = f.grid.xi == 0.0
-        peak = f.spectrum._peak
-        if peak > 0 and np.abs(hat[zero][0]) > 1e-13 * peak:
-            raise SingularMultiplierError(
-                "negative-order multiplier |xi|^s is singular at xi = 0 but the "
-                "zero-frequency mode is nonzero"
-            )
-        hat = hat.copy()
-        hat[zero] = 0.0
-    return SampledFunction(f.grid, _inverse_raw(f.grid, mult * hat), _adopt=True)
+    hat = _abs_xi_power(f.grid, s) * f.spectrum.values
+    return SampledFunction(f.grid, _inverse_raw(f.grid, hat), _adopt=True)
 
 
 def _derivative_values(f: SampledFunction, order: int) -> np.ndarray:

@@ -21,6 +21,7 @@ from .errors import (
     OutOfBandError,
     ParameterError,
     SuiteDegenerateError,
+    UndefinedRatioError,
 )
 from .harness import (
     DYADIC_TIMES,
@@ -188,7 +189,6 @@ def cmd_lemma_suite(args) -> int:
     pinned = run_pins(args) or {}
     status = EXIT_PASS
     for row in table:
-        del row["skipped_k"]  # not a CSV column; the pin is the last one
         pin = row["pinned"] = pinned.get(row["check"])
         if pin is None:
             verdict = "UNPINNED"
@@ -310,7 +310,8 @@ def main(argv=None) -> int:
     except (ParameterError, InvalidInputError, OutOfBandError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except (DomainTooSmallError, AccuracyNotMetError, SuiteDegenerateError) as exc:
+    except (DomainTooSmallError, AccuracyNotMetError, SuiteDegenerateError,
+            UndefinedRatioError) as exc:
         print(f"numerical guard failure: {exc}", file=sys.stderr)
         return EXIT_GUARD_FAILURE
 

@@ -5,10 +5,6 @@ class InvalidInputError(ValueError):
     """Input contains NaN/Inf or has the wrong shape for its grid."""
 
 
-class SingularMultiplierError(ValueError):
-    """Negative-order |xi|^s multiplier applied to data with a nonzero zero mode."""
-
-
 class OutOfBandError(ValueError):
     """Requested dyadic band exceeds the Nyquist frequency of the grid."""
 

@@ -296,7 +296,7 @@ def _edge_exceeds(mag: np.ndarray, rtol: float) -> bool:
 
 
 def forward_ft(f: SampledFunction) -> SpectralFunction:
-    """Discrete approximation of fhat(xi) = int f(x) exp(-i xi x) dx on the dual grid."""
+    """fhat(xi) = int f(x) exp(-i xi x) dx on the dual grid: ``f.spectrum``, checked first."""
     _check_finite(f, "forward_ft")
     if _edge_exceeds(np.abs(f.values), 1e-14):
         warnings.warn(
@@ -305,7 +305,7 @@ def forward_ft(f: SampledFunction) -> SpectralFunction:
             BoundaryDecayWarning,
             stacklevel=2,
         )
-    return SpectralFunction(f.grid, f.spectrum.values, _adopt=True)
+    return f.spectrum
 
 
 def inverse_ft(F: SpectralFunction) -> SampledFunction:

@@ -16,11 +16,11 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import NormBundle, _vertex, locate_sup, norms
+from .calculus import _vertex, locate_sup, norms
 from .errors import (
     DomainTooSmallError,
     ParameterError,
@@ -89,7 +89,6 @@ class DecayReport:
     argmax_x: tuple
     ratios: tuple
     backends: tuple
-    norm_bundle: NormBundle = field(compare=False, default=None)
 
 
 def _quadrature_sup(phi: SampledFunction, t: float, alpha: float):
@@ -178,7 +177,7 @@ def _decay_report(config: SuiteConfig, grid: GridSpec, i: int) -> DecayReport:
         alpha=config.alpha, seed=config.seed, sample=i,
         times=tuple(config.times), sup_norms=tuple(sups),
         argmax_x=tuple(args), ratios=tuple(ratios),
-        backends=tuple(backends), norm_bundle=nb,
+        backends=tuple(backends),
     )
 
 
@@ -217,13 +216,12 @@ def run_lemma_suites(config: SuiteConfig, grid: GridSpec | None = None) -> list:
     Each sample is transformed once, and each of its dyadic pieces is formed
     once and shared by every row. Undefined ratios (pieces that vanish
     identically on the grid) are excluded from the statistics; k values whose
-    annulus contains no grid node at all are skipped up front and reported in
-    the row.  The suite is degenerate, and an error is raised, when no k is
+    annulus contains no grid node at all are skipped up front, and count in
+    no row.  The suite is degenerate, and an error is raised, when no k is
     usable or more than 5% of the evaluated cases of a row are undefined.
     """
     grid = grid or LEMMA_GRID
-    k_values = list(range(LEMMA_K_RANGE[0], LEMMA_K_RANGE[1] + 1))
-    usable = [k for k in k_values if resolvable_k(grid, k)]
+    usable = [k for k in range(LEMMA_K_RANGE[0], LEMMA_K_RANGE[1] + 1) if resolvable_k(grid, k)]
     if not usable:
         raise SuiteDegenerateError(
             f"no k in {LEMMA_K_RANGE} has an annulus resolved by the grid "
@@ -256,7 +254,6 @@ def run_lemma_suites(config: SuiteConfig, grid: GridSpec | None = None) -> list:
                 "check": name,
                 "n": len(arr),
                 "n_undefined": undefined[name],
-                "skipped_k": [k for k in k_values if k not in usable],
                 "max": float(np.max(arr)),
                 "median": float(np.median(arr)),
             }
@@ -278,9 +275,8 @@ def _trace_sample(config: SuiteConfig, i: int, grid: GridSpec | None) -> Sampled
     return generate_schwartz(config.seed, i, band, grid)
 
 
-def run_trace(config: SuiteConfig, t: float, grid: GridSpec | None = None,
-              x: float | None = None) -> dict:
-    """Trace every proof term for the first sample of the configured suite.
+def run_trace(config: SuiteConfig, t: float, grid: GridSpec | None = None) -> dict:
+    """Trace every proof term for the first sample of the configured suite, on its dominant ray.
 
     Requires |t| >= 2^10 for a nonempty middle band unless allow_empty_band
     is set (the split constants 2^{+-10} force (B) empty below that).
@@ -290,8 +286,7 @@ def run_trace(config: SuiteConfig, t: float, grid: GridSpec | None = None,
             "middle band is empty for |t| < 2^10; pass allow_empty_band to proceed"
         )
     phi = _trace_sample(config, 0, grid)
-    if x is None:
-        x = -t * _dominant_speed(phi, config.alpha)
+    x = -t * _dominant_speed(phi, config.alpha)
     trace = trace_terms(phi, t, x, config.alpha)
     rows = [{"section": "piece", "k": k, "membership": "+".join(trace.memberships[k]),
              "magnitude": mag, "bound_ratio": ""}
@@ -327,9 +322,7 @@ def run_trace_ratio_suite(config: SuiteConfig, times: tuple = TRACE_SUITE_TIMES,
     return maxima
 
 
-def tracer_constant_suite(alpha: float = 0.5,
-                          times: tuple = (2048.0, 4096.0, 8192.0, 16384.0),
-                          k_values: tuple = tuple(range(-4, 11, 2))) -> dict:
+def tracer_constant_suite(alpha: float = 0.5) -> dict:
     """Smallest normalized kernel and stationary-phase lower bounds over a sweep.
 
     The sweep places the observation ray |t/x| at fixed multiples of the
@@ -341,8 +334,8 @@ def tracer_constant_suite(alpha: float = 0.5,
     """
     kernel_min = math.inf
     q0_min = math.inf
-    for t in times:
-        for k in k_values:
+    for t in (2048.0, 4096.0, 8192.0, 16384.0):
+        for k in range(-4, 11, 2):
             speed = 2.0 ** (k * (1.0 - alpha))
             for factor in (64.0, 1.0 / 64.0):
                 res = kernel_lower_bound(k, t, -t / (factor * speed), alpha)

@@ -234,11 +234,10 @@ def _lemma_denominator(f: SampledFunction) -> float:
 
 def bernstein_ratio(f: SampledFunction, k: int, p, q) -> float:
     """||P_k f||_q / (2^{k(1/p - 1/q)} ||P_k f||_p) for 1 <= p <= q <= inf."""
-    pv = np.inf if p in (np.inf, "inf") else p
-    qv = np.inf if q in (np.inf, "inf") else q
-    if pv > qv:
+    p, q = _exponent(p), _exponent(q)
+    if p > q:
         raise ParameterError("need p <= q")
-    return _Piece(f, k).bernstein(pv, qv)
+    return _Piece(f, k).bernstein(p, q)
 
 
 def bernstein_derivative_ratio(f: SampledFunction, k: int, s: float, p) -> tuple:

@@ -265,7 +265,6 @@ class ProofTrace:
     memberships: dict
     low_mag: float
     terms: dict
-    s_choice: float
     q0_map: dict = field(default_factory=dict)
     annuli: dict = field(default_factory=dict)
 
@@ -286,7 +285,6 @@ def trace_terms(phi: SampledFunction, t: float, x: float, alpha: float = 0.5,
             partition=part, u_value=0.0j, reconstruction_defect=0.0,
             piece_mags={}, memberships={}, low_mag=0.0,
             terms=dict.fromkeys(_TERM_BANDS, BoundedValue(0.0, 0.0)),
-            s_choice=(2.0 - alpha) / 2.0,
         )
     occupied_xi = np.abs(phi.grid.xi[phi.spectrum.occupied])
     active = []
@@ -334,8 +332,7 @@ def trace_terms(phi: SampledFunction, t: float, x: float, alpha: float = 0.5,
     l2 = l2_norm_physical(phi)
     w = weighted_norm(phi)
     h1 = hs_norm(phi, 1.0)
-    s_choice = (2.0 - alpha) / 2.0
-    hs = hs_norm(phi, s_choice)
+    hs = hs_norm(phi, (2.0 - alpha) / 2.0)
     at = abs(t)
     lw = l2 + w
     b2_rate = at**-0.5 + at ** ((2.0 - 3.0 * alpha) / 4.0 - 0.75)
@@ -368,5 +365,5 @@ def trace_terms(phi: SampledFunction, t: float, x: float, alpha: float = 0.5,
     return ProofTrace(
         partition=part, u_value=u_val, reconstruction_defect=defect,
         piece_mags=mags, memberships=members, low_mag=abs(low_c),
-        terms=terms, s_choice=s_choice, q0_map=q0s, annuli=annuli,
+        terms=terms, q0_map=q0s, annuli=annuli,
     )

@@ -288,9 +288,8 @@ class TestFanOut:
         width(2)
         fanned = run_decay(cfg)
         assert [r.sample for r in fanned] == [0, 1, 2, 3]
-        # every field but the norm bundle, argmax_x and backends included, floats with ==
+        # every field, argmax_x and backends included, floats with ==
         assert fanned == serial
-        assert [r.norm_bundle for r in fanned] == [r.norm_bundle for r in serial]
 
     def test_results_in_input_order(self, width):
         # the earlier an item, the later it finishes
@@ -310,7 +309,6 @@ class TestFanOut:
         fanned = run_decay(cfg)
         assert [r.backends for r in fanned] == [("quadrature",)] * 2
         assert fanned == serial
-        assert [r.norm_bundle for r in fanned] == [r.norm_bundle for r in serial]
 
     def test_first_degenerate_sample_in_index_order_is_raised(self, width, monkeypatch):
         # samples 2 and 3 have an empty band; at width 2, sample 3 fails first in time
@@ -357,7 +355,6 @@ class TestFanOut:
                 propagator._phase.cache_clear()
                 fanned = run_decay(cfg)
                 assert fanned == serial
-                assert [r.norm_bundle for r in fanned] == [r.norm_bundle for r in serial]
         finally:
             sys.setswitchinterval(interval)
 
@@ -443,8 +440,12 @@ class TestLemmaSuites:
     def test_unresolvable_k_skipped(self):
         cfg = SuiteConfig(seed=0, n_samples=1)
         table = run_lemma_suites(cfg, self.GRID)
-        # the lowest annuli contain no grid node at this resolution
-        assert -8 in table[0]["skipped_k"]
+        # the lowest annuli contain no grid node at this resolution, and no row counts them
+        k_range = range(LEMMA_K_RANGE[0], LEMMA_K_RANGE[1] + 1)
+        usable = [k for k in k_range if resolvable_k(self.GRID, k)]
+        assert -8 not in usable
+        for row in table:
+            assert row["n"] + row["n_undefined"] == cfg.n_samples * len(usable)
 
     @staticmethod
     def _reference_table(config, grid):
@@ -773,6 +774,14 @@ class TestCli:
                      "--band", "0.5:8"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_factorization_check_zero_sample_exit_3(self, capsys):
+        # at L = 512 (xi spacing pi/512) the band 0.25:0.2501 holds no grid node,
+        # so the sample is identically zero and the residual is undefined
+        code = main(["factorization-check", "--band", "0.25:0.2501"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical guard failure: ") and err.count("\n") == 1
 
     def test_trace_proof_uses_grid_flags(self):
         # 1000 is not a power of two, so the grid itself is invalid

@@ -111,8 +111,11 @@ class TestBernstein:
         assert bernstein_ratio(f, 1, 2, 2) == pytest.approx(1.0)
 
     def test_p_greater_than_q_rejected(self, grid40):
-        with pytest.raises(ParameterError):
-            bernstein_ratio(gaussian(grid40, b=2.0), 1, 4, 2)
+        f = gaussian(grid40, b=2.0)
+        # "2" is no exponent: it is rejected before p and q are compared
+        for p, q in ((4, 2), ("2", 4)):
+            with pytest.raises(ParameterError):
+                bernstein_ratio(f, 1, p, q)
 
     def test_zero_piece_signals(self, grid40):
         f = gaussian(grid40, a=1.0, b=2.0)

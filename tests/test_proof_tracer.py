@@ -280,7 +280,6 @@ class TestTraceTerms:
         assert list(trace.terms) == ["A", "B1", "B2", "B3", "C"]
         for _, r in trace.terms.values():
             assert np.isfinite(r) and r >= 0
-        assert trace.s_choice == 0.75
         for bv in trace.q0_map.values():
             assert bv.ratio > 0
 
