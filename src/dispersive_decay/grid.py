@@ -17,6 +17,8 @@ it is not an algebraic identity of the DFT.
 The FFTs are ``scipy.fft``'s (pocketfft, as in numpy.fft), with the centring
 shift and the scaling written straight into one output array;
 ``TestTransformBits`` holds both bit-identical to the numpy.fft + fftshift form.
+For h <= 1 the inverse scales a complex spectrum by (1/h, -0), a complex
+multiply that is bit for bit numpy's slower division by h (``_inverse_raw``).
 
 On glibc the first transform sets the allocator policy of the whole process
 (``mallopt``): up to 64 MiB of freed heap stays mapped, and blocks under 32 MiB
@@ -270,6 +272,13 @@ def _inverse_raw(grid: GridSpec, hat: np.ndarray, out: np.ndarray | None = None)
 
     A complex ``hat`` may pass ``out``, a complex N-array for the FFT to run in.
     ``out`` may be ``hat`` itself, which then holds one half aside while its halves swap.
+
+    numpy divides a complex entry by h as ((re + im 0) s, (im - re 0) s), with s = 1/h;
+    the complex product by (s, -0) is (re s + im 0, im s - re 0). For h <= 1, s >= 1 and a
+    nonzero re s or im s cannot underflow, so it absorbs the zero term, as the division's
+    sum does; a zero re or im leaves the same signed zero in both. For h > 1 a subnormal
+    im s can round to a zero of the other sign, and a real hat's a / h differs from
+    a * (1/h) in the last bit: both keep the division.
     """
     _keep_heap()
     signs, m = grid._signs(), grid.size // 2
@@ -283,7 +292,11 @@ def _inverse_raw(grid: GridSpec, hat: np.ndarray, out: np.ndarray | None = None)
     else:
         np.multiply(hat[m:], signs[m:], out=F[:m])
         np.multiply(hat[:m], signs[:m], out=F[m:])
-    F /= grid.spacing
+    h = grid.spacing
+    if h <= 1.0 and F.dtype == np.complex128:
+        F *= complex(1.0 / h, -0.0)
+    else:
+        F /= h
     return scipy.fft.ifft(F.astype(np.complex128, copy=False), overwrite_x=True)
 
 

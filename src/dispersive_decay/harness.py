@@ -29,7 +29,8 @@ from .errors import (
 )
 from .grid import GridSpec, SampledFunction, SpectralFunction, inverse_ft
 from .littlewood_paley import _lemma_denominator, _Piece, resolvable_k
-from .propagator import _amplitude, _node_ranges, evolve_quadrature, evolve_spectral, phase_speed
+from .propagator import (_amplitude, _multipliers, _node_ranges, evolve_quadrature,
+                         evolve_spectral, phase_speed)
 from .proof_tracer import choose_l0, kernel_lower_bound, q0_estimate, trace_terms
 from .schwartz import generate_schwartz, schwartz_sample
 
@@ -70,6 +71,9 @@ class SuiteConfig:
             raise ParameterError("n_samples must be positive")
         if not (0 < self.band[0] < self.band[1]):
             raise ParameterError("band must satisfy 0 < lo < hi")
+        for t in self.times:
+            if not math.isfinite(t):
+                raise ParameterError(f"times must be finite, got {t}")
         if list(self.times) != sorted(set(self.times)):
             raise ParameterError("times must be strictly increasing")
 
@@ -135,8 +139,9 @@ def _fan_out(fn, items) -> list:
     first failing item in that order, as the plain loop would raise it. With
     one CPU or one item, ``fn`` runs in the calling thread and no thread starts.
     ``fn`` may share only read-only state between items: the cached axes,
-    windows, phases and factorisations are; the lemma pieces' ``_workspace``
-    is not, so the lemma suite stays serial.
+    windows and factorisations are, and so is a decay run's multiplier table,
+    formed before the fan-out and never written after; the lemma pieces'
+    ``_workspace`` is not, so the lemma suite stays serial.
     """
     items = list(items)
     width = min(len(items), _cpus())
@@ -146,14 +151,21 @@ def _fan_out(fn, items) -> list:
         return list(pool.map(fn, items))
 
 
-def _decay_report(config: SuiteConfig, grid: GridSpec, i: int) -> DecayReport:
-    """Sample i of the suite, evolved over the time grid; raises if its band is empty."""
-    phi = generate_schwartz(config.seed, i, config.band, grid)
+def _occupied_sample(seed: int, i: int, band: tuple, grid: GridSpec) -> SampledFunction:
+    """Sample i of a suite over ``band``; raises if the band holds no occupied grid frequency."""
+    phi = generate_schwartz(seed, i, band, grid)
     if phi.spectrum.occupied_band() is None:
         raise SuiteDegenerateError(
-            f"sample {i}: band {config.band} holds no occupied frequency of the "
+            f"sample {i}: band {band} holds no occupied frequency of the "
             f"grid (xi spacing {grid.xi_spacing:g})"
         )
+    return phi
+
+
+def _decay_report(config: SuiteConfig, grid: GridSpec, halves: dict, i: int) -> DecayReport:
+    """Sample i of the suite, evolved over the time grid with the run's multipliers
+    ``halves`` (``_multipliers``); raises if its band is empty."""
+    phi = _occupied_sample(config.seed, i, config.band, grid)
     nb = norms(phi)
     denom = nb.h1 + nb.weighted
     sups, args, ratios, backends = [], [], [], []
@@ -162,7 +174,7 @@ def _decay_report(config: SuiteConfig, grid: GridSpec, i: int) -> DecayReport:
         if backend != "quadrature":
             try:
                 # no name holds u: it goes before the next time's evolution starts
-                sup, xloc = locate_sup(evolve_spectral(phi, t, config.alpha))
+                sup, xloc = locate_sup(evolve_spectral(phi, t, config.alpha, _half=halves.get(t)))
                 backend = "spectral"
             except DomainTooSmallError:
                 # auto falls back to quadrature; forced spectral records the guard
@@ -184,13 +196,18 @@ def _decay_report(config: SuiteConfig, grid: GridSpec, i: int) -> DecayReport:
 def run_decay(config: SuiteConfig) -> list:
     """Evolve each sample over the time grid and assemble the decay reports.
 
-    The samples are independent and run at once, one per CPU (``_fan_out``);
-    the reports come back in sample order. A sample whose band holds no
-    occupied grid frequency has nothing to evolve; the suite is then
-    degenerate and an error is raised for the first such sample.
+    The multiplier of each nonzero time is formed once, in the calling
+    thread, unless the backend is forced to quadrature. The samples are
+    independent and run at once, one per CPU (``_fan_out``); the reports come
+    back in sample order. A sample whose band holds no occupied grid
+    frequency has nothing to evolve; the suite is then degenerate and an
+    error is raised for the first such sample.
     """
     grid = config.grid()
-    return _fan_out(functools.partial(_decay_report, config, grid), range(config.n_samples))
+    forced_quadrature = config.backend == "quadrature"
+    halves = {} if forced_quadrature else _multipliers(grid, config.alpha, config.times)
+    report = functools.partial(_decay_report, config, grid, halves)
+    return _fan_out(report, range(config.n_samples))
 
 
 LEMMA_GRID = GridSpec(half_width=200.0, size=131072)
@@ -269,17 +286,18 @@ def _dominant_speed(phi: SampledFunction, alpha: float) -> float:
 
 def _trace_sample(config: SuiteConfig, i: int, grid: GridSpec | None) -> SampledFunction:
     """Sample i of a trace suite, on TRACE_GRID unless ``grid`` is given, its band capped at
-    0.9 of the grid's Nyquist frequency."""
+    0.9 of the grid's Nyquist frequency; raises if that band is empty on the grid."""
     grid = grid or TRACE_GRID
     band = (config.band[0], min(config.band[1], 0.9 * grid.nyquist))
-    return generate_schwartz(config.seed, i, band, grid)
+    return _occupied_sample(config.seed, i, band, grid)
 
 
 def run_trace(config: SuiteConfig, t: float, grid: GridSpec | None = None) -> dict:
     """Trace every proof term for the first sample of the configured suite, on its dominant ray.
 
     Requires |t| >= 2^10 for a nonempty middle band unless allow_empty_band
-    is set (the split constants 2^{+-10} force (B) empty below that).
+    is set (the split constants 2^{+-10} force (B) empty below that). A band
+    that holds no occupied grid frequency leaves nothing to trace and raises.
     """
     if abs(t) < 2**10 and not config.allow_empty_band:
         raise ParameterError(
@@ -307,7 +325,8 @@ def run_trace_ratio_suite(config: SuiteConfig, times: tuple = TRACE_SUITE_TIMES,
     Each sample is observed on its dominant stationary ray (where the decay
     bound is tightest) and at rays a factor of 8 faster and slower, so the
     non-stationary regimes contribute too.  Returns the maxima keyed by term
-    name; these are the quantities pinned as regression constants.
+    name; these are the quantities pinned as regression constants.  As in
+    ``run_trace``, an empty band raises.
     """
     maxima = {}
     for i in range(config.n_samples):

@@ -6,8 +6,10 @@ Two backends:
   unimodular factor on the frequency grid.  Fast and exactly unitary, but
   periodic: a wrap-around guard, checked at every t, rejects evolutions
   whose fastest group speed would carry mass more than 0.4 L.  The factor
-  is even and the xi axis exactly symmetric, so ``_multiplier`` takes the
-  exponential on xi >= 0 and the unpaired node -N/2 only, and mirrors it.
+  is even and the xi axis exactly symmetric, so ``_multipliers`` forms it
+  on |xi| = 0 .. Nyquist only (N/2 + 1 entries) and ``_propagate`` reads it
+  mirrored for xi < 0.  It depends on (grid, t, alpha) alone: a decay run
+  forms it once per time and shares it, read-only, with every sample.
 * ``evolve_quadrature`` integrates the inversion integral directly at
   arbitrary points, making no periodicity assumption.  The amplitude is a
   quintic spline on the xi grid, so it is smooth on each grid cell and the
@@ -103,28 +105,33 @@ def _eiq(xi, t, x, alpha):
     return np.exp(1j * _q(xi, t, x, alpha))
 
 
-@functools.lru_cache(maxsize=1)
-def _phase(grid: GridSpec, alpha: float) -> np.ndarray:
-    """|xi|^alpha on the grid's xi axis, kept read-only for one (L, N, alpha) at a time."""
-    phase = _phi(grid.xi, alpha)
-    phase.flags.writeable = False
-    return phase
+def _multipliers(grid: GridSpec, alpha: float, times) -> dict:
+    """t -> exp(i t |xi|^alpha), read-only, for each nonzero t, on |xi| = 0, 1, .., N/2 xi
+    spacings: the xi >= 0 axis and the unpaired node -N/2.
 
-
-def _multiplier(grid: GridSpec, t: float, alpha: float) -> np.ndarray:
-    """exp(i t |xi|^alpha) on the grid, mirrored onto xi < 0: bit for bit the full-axis exp.
-
-    For t != 0, 1j * t * phase is exactly +0 + i (t * phase), whose exp is (cos, sin) of t * phase.
+    For t != 0, 1j * t * |xi|^alpha is exactly +0 + i (t |xi|^alpha), so its (cos, sin)
+    is the complex exp bit for bit.
     """
-    phase = _phase(grid, alpha)
-    m = grid.size // 2
-    mult = np.empty(grid.size, dtype=np.complex128)
-    y = t * phase[m:]
-    np.cos(y, out=mult.real[m:])
-    np.sin(y, out=mult.imag[m:])
-    mult[:1] = np.exp(1j * t * phase[:1])
-    mult[1:m] = mult[:m:-1]
-    return mult
+    phase = _phi(grid.xi[grid.size // 2::-1], alpha)
+    out = {}
+    for t in times:
+        if t != 0.0:
+            half = out[t] = np.empty(phase.size, dtype=np.complex128)
+            y = t * phase
+            np.cos(y, out=half.real)
+            np.sin(y, out=half.imag)
+            half.flags.writeable = False
+    return out
+
+
+def _propagate(hat: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """The product of ``hat`` (on the grid's xi axis) and the even multiplier ``half`` (on
+    |xi| = 0 .. Nyquist): ``half * hat`` for xi >= 0 and half's mirror for xi < 0."""
+    m = hat.size // 2
+    out = np.empty(hat.size, dtype=np.complex128)
+    np.multiply(half[:m], hat[m:], out=out[m:])
+    np.multiply(half[m:0:-1], hat[:m], out=out[:m])
+    return out
 
 
 def phase_speed(xi, alpha):
@@ -169,8 +176,13 @@ def stationary_point(t: float, x: float, alpha: float = 0.5):
     return -np.sign(x * t) * mag
 
 
-def evolve_spectral(phi: SampledFunction, t: float, alpha: float = 0.5) -> SampledFunction:
-    """exp(i t |D|^alpha) phi by pointwise multiplication on the frequency grid."""
+def evolve_spectral(phi: SampledFunction, t: float, alpha: float = 0.5, *,
+                    _half: np.ndarray | None = None) -> SampledFunction:
+    """exp(i t |D|^alpha) phi by pointwise multiplication on the frequency grid.
+
+    ``_half`` is the multiplier of (phi.grid, t, alpha) from ``_multipliers``, as a decay
+    run shares it between samples; without it the call forms its own and keeps none.
+    """
     _check_finite(phi, "evolve_spectral")
     if not (0 < alpha < 1):
         raise ParameterError("alpha must lie in (0, 1)")
@@ -190,9 +202,10 @@ def evolve_spectral(phi: SampledFunction, t: float, alpha: float = 0.5) -> Sampl
                 f"{_WRAP_FRACTION * phi.grid.half_width:g}; enlarge the domain",
                 min_half_width=travel / _WRAP_FRACTION,
             )
-    mult = _multiplier(phi.grid, t, alpha)
-    mult *= hat
-    return SampledFunction(phi.grid, _inverse_raw(phi.grid, mult, out=mult), _adopt=True)
+    if _half is None:
+        _half = _multipliers(phi.grid, alpha, (t,))[t]
+    prod = _propagate(hat, _half)
+    return SampledFunction(phi.grid, _inverse_raw(phi.grid, prod, out=prod), _adopt=True)
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,26 @@ class TestTransformBits:
         np.testing.assert_array_equal(bits(_inverse_raw(g, hat)), bits(inverse))
         np.testing.assert_array_equal(bits(_inverse_raw(g, hat, out=hat)), bits(inverse))
 
+    @pytest.mark.parametrize("half_width", [2.0, 2.0**20])  # h = 1/4 and h = 2^17
+    def test_signed_zeros_and_subnormals_at_both_sides_of_h_1(self, half_width):
+        # for h <= 1 the inverse scales by the complex product with (1/h, -0), for
+        # h > 1 it divides; both must keep the division's bits where a part is +-0
+        # or subnormal. Spectra of one or two nonzero nodes let such a bit reach
+        # the output
+        g = GridSpec(half_width=half_width, size=16)
+        rng = np.random.default_rng(7)
+        specials = np.array([0.0, -0.0, 5e-324, -5e-324, -1e-320, 3e-310, -2.2e-308,
+                             1.5, -0.75, 1e300])
+        for _ in range(500):
+            hat = np.zeros(g.size, np.complex128)
+            nodes = rng.choice(g.size, rng.integers(1, 3), replace=False)
+            for part in (hat.real, hat.imag):
+                part[:] = np.copysign(0.0, rng.standard_normal(g.size))
+                part[nodes] = rng.choice(specials, nodes.size)
+            inverse = np.fft.ifft(np.fft.ifftshift(hat * g._signs()) / g.spacing)
+            np.testing.assert_array_equal(bits(_inverse_raw(g, hat)), bits(inverse))
+            np.testing.assert_array_equal(bits(_inverse_raw(g, hat, out=hat)), bits(inverse))
+
 
 # the minor page faults of one warm LEMMA_GRID sample. The warm-up takes two
 # samples: the first builds the grid's lasting state (pocketfft's plan, the

@@ -40,6 +40,7 @@ from dispersive_decay.harness import (
 )
 from dispersive_decay.littlewood_paley import project, resolvable_k
 from dispersive_decay.propagator import evolve_spectral
+from dispersive_decay import grid as grid_module
 from dispersive_decay import schwartz
 from dispersive_decay.schwartz import (
     band_window,
@@ -177,6 +178,34 @@ class TestRunDecay:
         run_decay(cfg)
         assert len(fft_calls) > 0
         assert len(fft_calls) <= 4 + len(cfg.times)
+
+    def test_one_multiplier_per_time(self, width, monkeypatch):
+        # the run forms the multiplier of each nonzero time once for all its
+        # samples (n * T before), and no sample forms one of its own; under
+        # forced quadrature the run forms none
+        formed = {"run": [], "sample": []}
+        real = propagator._multipliers
+
+        def spy(who):
+            def multipliers(grid, alpha, times):
+                halves = real(grid, alpha, times)
+                formed[who].extend(halves)
+                return halves
+            return multipliers
+
+        monkeypatch.setattr(harness, "_multipliers", spy("run"))
+        monkeypatch.setattr(propagator, "_multipliers", spy("sample"))
+        cfg = SuiteConfig(seed=0, n_samples=3, times=(0.0, 1.0, 8.0, 64.0), half_width=256.0,
+                          grid_n=4096, band=(0.5, 8.0))
+        for n in (1, 2):
+            width(n)
+            formed["run"].clear()
+            assert {r.backends for r in run_decay(cfg)} == {("spectral",) * 4}
+            assert formed == {"run": [1.0, 8.0, 64.0], "sample": []}
+        formed["run"].clear()
+        quad = dataclasses.replace(cfg, n_samples=1, times=(0.0, 1.0), backend="quadrature")
+        assert run_decay(quad)[0].backends == ("quadrature", "quadrature")
+        assert formed["run"] == []
 
     @pytest.mark.parametrize("seed, t, shift, spectral_rtol", [
         # centred near x = 40, outside the fixed +-15 around the causal cone
@@ -340,8 +369,9 @@ class TestFanOut:
         assert len(thread_starts) >= 1
 
     def test_stress_more_threads_than_cores_with_cold_caches(self, width):
-        # six threads switching every microsecond all miss the phase and window
-        # caches at once; each sample must still see exactly the serial numbers
+        # six threads switching every microsecond all miss the window cache at
+        # once, after the run's multipliers are formed on cold axes; each sample
+        # must still see exactly the serial numbers
         cfg = SuiteConfig(seed=5, n_samples=6, alpha=0.4, times=(1.0, 8.0),
                           half_width=256.0, grid_n=4096, band=(0.5, 8.0))
         width(1)
@@ -352,7 +382,7 @@ class TestFanOut:
         try:
             for _ in range(3):
                 schwartz._grid_band_window.cache_clear()
-                propagator._phase.cache_clear()
+                grid_module._axes.cache_clear()
                 fanned = run_decay(cfg)
                 assert fanned == serial
         finally:
@@ -377,16 +407,18 @@ class TestFanOut:
 
     def test_one_sample_holds_under_four_n_arrays(self):
         # the mixture is band-passed in its own buffer, each evolution is inverse
-        # transformed in its multiplier's buffer and dropped before the next one,
-        # and x f' is formed in the buffer of f': the traced peak of one sample
-        # stays below four complex N-arrays (pocketfft's own scratch is not traced)
+        # transformed in the buffer of its product with the run's multiplier and
+        # dropped before the next one, and x f' is formed in the buffer of f': the
+        # traced peak of one sample stays below four complex N-arrays (pocketfft's
+        # own scratch and the run's multipliers, formed beforehand, are not counted)
         cfg = SuiteConfig(seed=0, n_samples=1, times=(1.0, 4.0, 16.0))
         grid = cfg.grid()
-        harness._decay_report(cfg, grid, 0)  # the window, phase and axes are built
+        halves = propagator._multipliers(grid, cfg.alpha, cfg.times)
+        harness._decay_report(cfg, grid, halves, 0)  # the window and axes are built
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            harness._decay_report(cfg, grid, 1)
+            harness._decay_report(cfg, grid, halves, 1)
             peak = tracemalloc.get_traced_memory()[1] - base
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
@@ -410,6 +442,13 @@ class TestSuiteConfig:
             SuiteConfig(times=(4.0, 2.0))
         with pytest.raises(ParameterError):
             SuiteConfig(backend="magic")
+
+    @pytest.mark.parametrize("times", [(math.nan,), (1.0, math.inf), (-math.inf, 1.0),
+                                       (1.0, math.nan, 4.0)])
+    def test_non_finite_times_rejected(self, times):
+        bad = next(t for t in times if not math.isfinite(t))
+        with pytest.raises(ParameterError, match=f"^times must be finite, got {bad}$"):
+            SuiteConfig(times=times)
 
 
 class TestLemmaSuites:
@@ -536,6 +575,14 @@ class TestRunTrace:
         cfg = SuiteConfig(seed=0, n_samples=1)
         with pytest.raises(ParameterError):
             run_trace(cfg, 1.0)
+
+    def test_empty_band_is_degenerate(self):
+        # the guard of the decay suite: a band with no grid node has nothing to trace
+        cfg = SuiteConfig(seed=0, n_samples=2, band=(0.25, 0.2501))
+        for trace in (lambda: run_trace(cfg, 2048.0),
+                      lambda: harness.run_trace_ratio_suite(cfg, times=(2048.0,))):
+            with pytest.raises(harness.SuiteDegenerateError, match="^sample 0: band"):
+                trace()
 
     def test_small_t_with_flag_empty_middle(self):
         cfg = SuiteConfig(seed=0, n_samples=1, band=(0.5, 16.0),
@@ -782,6 +829,32 @@ class TestCli:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical guard failure: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("t_grid", ["nan", "1,inf"])
+    def test_verify_decay_non_finite_time_exit_2(self, t_grid, monkeypatch, capsys):
+        # rejected by SuiteConfig, naming the value, before any sample is evolved
+        def no_evolution(*args, **kwargs):
+            raise AssertionError("evolved a sample")
+
+        monkeypatch.setattr(harness, "evolve_spectral", no_evolution)
+        monkeypatch.setattr(harness, "_quadrature_sup", no_evolution)
+        assert main(["verify-decay", "--samples", "1", "--t-grid", t_grid]) == 2
+        bad = t_grid.split(",")[-1]
+        err = capsys.readouterr().err
+        assert err == f"invalid configuration: times must be finite, got {bad}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["trace-proof", "--band", "0.25:0.2501"],
+        ["trace-proof", "--band", "0.25:0.2501", "--time", "1", "--allow-empty-band"],
+    ])
+    def test_trace_proof_zero_sample_exit_3(self, argv, capsys):
+        # on TRACE_GRID (xi spacing pi/200) the band holds no grid node: the sample
+        # is identically zero, and there is no ray to trace
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical guard failure: sample 0: band (0.25, 0.2501) "
+                                       "holds no occupied frequency")
 
     def test_trace_proof_uses_grid_flags(self):
         # 1000 is not a power of two, so the grid itself is invalid

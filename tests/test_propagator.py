@@ -34,8 +34,8 @@ from dispersive_decay.harness import (
 from dispersive_decay.propagator import (
     PhaseSpec,
     SpectralAmplitude,
-    _multiplier,
-    _phase,
+    _multipliers,
+    _propagate,
     _windowed_integrals,
     evolve_quadrature,
     evolve_spectral,
@@ -123,16 +123,27 @@ class TestEvolveSpectral:
 
     @pytest.mark.parametrize("alpha", [0.5, 0.45, 0.4, 0.35, 0.75])
     def test_mirrored_multiplier_is_bit_equal(self, alpha):
-        # the multiplier is (cos, sin) of t |xi|^alpha on xi >= 0, mirrored; it
-        # must equal the full-axis complex exp bit for bit, at negative t (where
-        # t * 0 is -0) and at large t too
+        # the multiplier is (cos, sin) of t |xi|^alpha on |xi| = 0 .. Nyquist; read
+        # mirrored onto xi < 0 it must equal the full-axis complex exp bit for bit,
+        # at negative t (where t * 0 is -0) and at large t too, and so must its
+        # product with a spectrum
         grids = (SuiteConfig().grid(), GridSpec(half_width=4.0, size=16),
                  GridSpec(half_width=200.0, size=32768))
         for grid in grids:
-            for t in DYADIC_TIMES + (0.37, -0.37, -1024.0, 3.3e7):
-                full = np.exp(1j * t * _phase(grid, alpha))
-                mirrored = _multiplier(grid, t, alpha)
+            m = grid.size // 2
+            rng = np.random.default_rng(grid.size)
+            hat = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+            hat[::7] *= 0.0
+            times = DYADIC_TIMES + (0.37, -0.37, -1024.0, 3.3e7)
+            halves = _multipliers(grid, alpha, (0.0,) + times)
+            assert list(halves) == list(times)
+            for t, half in halves.items():
+                full = np.exp(1j * t * np.abs(grid.xi) ** alpha)
+                assert half.shape == (m + 1,) and not half.flags.writeable
+                mirrored = np.concatenate([half[m:0:-1], half[:m]])
                 np.testing.assert_array_equal(mirrored.view(np.uint64), full.view(np.uint64))
+                np.testing.assert_array_equal(_propagate(hat, half).view(np.uint64),
+                                              (full * hat).view(np.uint64))
 
     def test_wrap_guard(self):
         grid = GridSpec(half_width=50.0, size=4096)
