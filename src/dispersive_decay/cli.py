@@ -44,21 +44,29 @@ EXIT_BAD_CONFIG = 2
 EXIT_GUARD_FAILURE = 3
 
 
+def finite(s: str) -> float:
+    """A float flag's value; a NaN or an infinity is refused, and argparse names the flag."""
+    value = float(s)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {s}")
+    return value
+
+
 # every flag of the commands; --half-width and --time take their defaults per command
 _FLAGS = {
-    "--alpha": dict(type=float, default=0.5),
+    "--alpha": dict(type=finite, default=0.5),
     "--seed": dict(type=int, default=0),
     "--samples": dict(type=int, default=20),
     "--grid-n": dict(type=int, default=131072),
-    "--half-width": dict(type=float),
+    "--half-width": dict(type=finite),
     "--band": dict(type=str, default="0.25:32", help="spectral band as lo:hi"),
     "--t-grid": dict(type=str, default="dyadic",
                      help="'dyadic' or a comma-separated list of times"),
     "--backend": dict(choices=["auto", "spectral", "quadrature"], default="auto"),
     "--out": dict(type=str, default=None),
     "--allow-empty-band": dict(action="store_true"),
-    "--time": dict(type=float),
-    "--dt": dict(type=float, default=1e-3),
+    "--time": dict(type=finite),
+    "--dt": dict(type=finite, default=1e-3),
 }
 
 # the parsed flags that set a SuiteConfig field of another name
@@ -291,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
                time=float(2**12))
 
     p = sub.add_parser("stationary-point", help="stationary point of the phase")
-    p.add_argument("--time", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--time", type=finite, required=True)
+    p.add_argument("--x", type=finite, required=True)
     _add_flags(p, "--alpha", func=cmd_stationary_point)
 
     p = sub.add_parser("factorization-check", help="wave-equation factorization residual")

@@ -23,7 +23,10 @@ multiply that is bit for bit numpy's slower division by h (``_inverse_raw``).
 On glibc the first transform sets the allocator policy of the whole process
 (``mallopt``): up to 64 MiB of freed heap stays mapped, and blocks under 32 MiB
 come from the heap, not from ``mmap``, so pocketfft's scratch (2 MB at 2^17)
-is not handed back and faulted in again on every call.
+is not handed back and faulted in again on every call. Each thread keeps its
+own heap (glibc's arena): pocketfft allocates a second 2 MB block per call
+that it never writes, and in one heap shared by the threads that transform at
+once, a later call may write where only such blocks had been, faulting 2 MB in.
 """
 
 from __future__ import annotations

@@ -140,8 +140,8 @@ def _fan_out(fn, items) -> list:
     one CPU or one item, ``fn`` runs in the calling thread and no thread starts.
     ``fn`` may share only read-only state between items: the cached axes,
     windows and factorisations are, and so is a decay run's multiplier table,
-    formed before the fan-out and never written after; the lemma pieces'
-    ``_workspace`` is not, so the lemma suite stays serial.
+    formed before the fan-out and never written after. A lemma piece writes
+    only to a workspace it has checked out of the pool for itself.
     """
     items = list(items)
     width = min(len(items), _cpus())
@@ -216,12 +216,13 @@ TRACE_GRID = GridSpec(half_width=200.0, size=32768)
 
 
 # row name -> the ratio of one (sample, k), from the sample's dyadic piece and
-# its lemma denominator ||f||_2 + ||x f'||_2; the rows run in this order
+# its lemma denominator ||f||_2 + ||x f'||_2; the rows run in this order, and
+# bern2_s1_p2 reads the piece's default |D|^s P_k f norm, s = 1 and p = 2
 _ROW_RATIOS = {
     "bern_1_2": lambda piece, denom: piece.bernstein(1, 2),
     "bern_2_4": lambda piece, denom: piece.bernstein(2, 4),
     "bern_2_inf": lambda piece, denom: piece.bernstein(2, np.inf),
-    "bern2_s1_p2": lambda piece, denom: max(piece.derivative_bernstein(1.0, 2)),
+    "bern2_s1_p2": lambda piece, denom: max(piece.derivative_bernstein()),
     "lemma1": lambda piece, denom: piece.lemma1(denom),
     "lemma2_s0.75": lambda piece, denom: piece.lemma2(0.75, denom),
 }
@@ -231,10 +232,11 @@ def run_lemma_suites(config: SuiteConfig, grid: GridSpec | None = None) -> list:
     """Empirical max/median constants for the Bernstein and lemma ratio checks.
 
     Each sample is transformed once, and each of its dyadic pieces is formed
-    once and shared by every row. Undefined ratios (pieces that vanish
-    identically on the grid) are excluded from the statistics; k values whose
-    annulus contains no grid node at all are skipped up front, and count in
-    no row.  The suite is degenerate, and an error is raised, when no k is
+    once and shared by every row. The pieces of a sample are formed at once,
+    one per CPU (``_fan_out``), and read in k order. Undefined ratios (pieces
+    that vanish identically on the grid) are excluded from the statistics; k
+    values whose annulus contains no grid node at all are skipped up front,
+    and count in no row.  The suite is degenerate, and an error is raised, when no k is
     usable or more than 5% of the evaluated cases of a row are undefined.
     """
     grid = grid or LEMMA_GRID
@@ -249,14 +251,12 @@ def run_lemma_suites(config: SuiteConfig, grid: GridSpec | None = None) -> list:
     for i in range(config.n_samples):
         f = schwartz_sample(grid, config.seed, i)
         denom = _lemma_denominator(f)
-        for k in usable:
-            piece = _Piece(f, k)
+        for piece in _fan_out(functools.partial(_Piece, f), usable):
             for name, ratio in _ROW_RATIOS.items():
                 try:
                     values[name].append(ratio(piece, denom))
                 except UndefinedRatioError:
                     undefined[name] += 1
-            del piece  # its two N-arrays go before the next piece's are formed
 
     table = []
     for name in _ROW_RATIOS:

@@ -11,20 +11,23 @@ weighted-norm lemmas and of the Bernstein inequalities: each returns the
 quotient of the two sides of an inequality whose constant is implicit, and the
 suites record the empirical maxima as regression-pinned constants.  All of them
 are functionals of one dyadic piece and are computed by ``_Piece``, which holds
-the Nyquist guard and the zero-piece test, forms psi_k fhat once and adds at
-most three transforms (P_k f, |D|^s P_k f and the transform of -i x P_k f).
-Every piece reads the sample's cached spectrum, so a sample is transformed once
-for all its pieces and rows.  A piece costs little beyond its transforms:
-psi_k is evaluated only where 2^{k-1} <= |xi| <= 2^{k+1} (it is exactly 0.0
-elsewhere), the four L^p norms of |P_k f| are formed together once, and every
-temporary lives in one workspace per grid (``_workspace``), on which no array
-that leaves the piece is built.
+the Nyquist guard and the zero-piece test and adds three transforms (P_k f,
+|D|^s P_k f and the transform of -i x P_k f) to psi_k fhat.  Every piece
+reads the sample's cached spectrum, so a sample is transformed once for all
+its pieces and rows.  A piece costs little beyond its transforms: psi_k is
+evaluated once per grid, only where 2^{k-1} <= |xi| <= 2^{k+1} (it is exactly
+0.0 elsewhere), the four L^p norms of |P_k f| are formed together once, and
+every array of a piece lives in a workspace checked out of a pool
+(``_workspace``) for the piece's construction alone.  A piece keeps scalars
+only, so pieces can be built on several threads at once; the pool holds one
+workspace for each piece ever built at the same time, and hands them out again.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
-from functools import cached_property
+import threading
 
 import numpy as np
 
@@ -113,86 +116,99 @@ def project(f: SampledFunction, k: int) -> SampledFunction:
     return SampledFunction(f.grid, _inverse_raw(f.grid, piece))
 
 
-@functools.lru_cache(maxsize=1)
-def _workspace(grid: GridSpec) -> tuple:
-    """Two complex and one float N-array of scratch, each filled and read within one method call,
-    and -i x, read-only (-i x f transforms to d/dxi fhat)."""
-    n, minus_ix = grid.size, -1j * grid.x
-    minus_ix.flags.writeable = False
-    return np.empty(n, np.complex128), np.empty(n, np.complex128), np.empty(n), minus_ix
+# the workspaces not checked out, all of one grid size, and the lock that guards the list
+_FREE: list = []
+_FREE_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _workspace(n: int):
+    """A workspace of two complex n-arrays, held by the caller alone until it exits.
+
+    A free workspace of size n is reused, or a new one made. On exit it goes back to the
+    pool, and free workspaces of any other size are dropped.
+    """
+    with _FREE_LOCK:
+        ws = _FREE.pop() if _FREE and _FREE[-1][0].size == n else None
+    if ws is None:
+        ws = np.empty(n, np.complex128), np.empty(n, np.complex128)
+    try:
+        yield ws
+    finally:
+        with _FREE_LOCK:
+            _FREE[:] = [w for w in _FREE if w[0].size == n] + [ws]
+
+
+@functools.lru_cache(maxsize=64)
+def _bump_window(grid: GridSpec, k: int) -> tuple:
+    """(lo, hi, psi_k(xi[m + lo:m + hi])) with m = N/2: the nodes 2^{k-1} <= xi <= 2^{k+1}
+    and the bump on them, read-only, once per (grid, k)."""
+    xi = grid.xi[grid.size // 2:]
+    lo, hi = np.searchsorted(xi, 2.0 ** (k - 1)), np.searchsorted(xi, 2.0 ** (k + 1), "right")
+    psi = _BUMP.dyadic_piece(xi[lo:hi], k)
+    psi.flags.writeable = False
+    return lo, hi, psi
 
 
 def _windowed_piece(grid: GridSpec, k: int, out: np.ndarray) -> np.ndarray:
-    """``_BUMP.dyadic_piece(grid.xi, k)`` bit for bit, into ``out``: the bump runs on 2^{k-1} <= xi
-    <= 2^{k+1}; it is even and the xi axis exactly symmetric, so xi < 0 takes its mirror image."""
+    """``_BUMP.dyadic_piece(grid.xi, k)`` bit for bit, into ``out``: the bump is 0.0 off its window
+    (``_bump_window``); it is even and the xi axis exactly symmetric, so xi < 0 takes its mirror."""
     m = grid.size // 2
-    xi = grid.xi[m:]
-    lo, hi = np.searchsorted(xi, 2.0 ** (k - 1)), np.searchsorted(xi, 2.0 ** (k + 1), "right")
+    lo, hi, psi = _bump_window(grid, k)
     out.fill(0.0)
-    out[m + lo:m + hi] = _BUMP.dyadic_piece(xi[lo:hi], k)
+    out[m + lo:m + hi] = psi
     out[m - hi + 1:m - lo + 1] = out[m + hi - 1:m + lo - 1:-1]
     return out
 
 
 class _Piece:
-    """The dyadic piece psi_k fhat of one sample, and every ratio built from it.
+    """The scalars of the dyadic piece psi_k fhat of one sample, and every ratio built from them.
 
-    The Nyquist guard runs on construction. psi_k * fhat is formed once, from
-    the sample's cached spectrum; P_k f is inverted on first use and kept, so
-    the Bernstein and lemma ratios of one (sample, k) share it, as they share
-    its L^p norms. Each ratio adds at most one transform of its own.
+    In one checked-out workspace of two complex arrays: psi_k fhat, in the first, gives the
+    peak and ||psi_k fhat||_2; P_k f, inverted into the second, gives its norms, with the
+    first's float halves as scratch; x P_k f is transformed into the first; psi_k fhat,
+    formed again in the second, gives |D|^s P_k f in the first. No transform runs in place
+    and the bump is cached (``_bump_window``), so pocketfft's scratch is the piece's only
+    other large block. ``derivative`` is the (s, p) of the |D|^s P_k f norm.
     """
 
-    def __init__(self, f: SampledFunction, k: int):
+    def __init__(self, f: SampledFunction, k: int, derivative: tuple = (1.0, 2)):
         _require_in_band(f.grid, k)
-        self.grid = f.grid
-        self.k = k
-        self.spectrum = f.spectrum
-        psi = _windowed_piece(self.grid, k, _workspace(self.grid)[2])
-        self.piece_hat = psi * self.spectrum.values
-
-    @cached_property
-    def phys(self) -> SampledFunction:
-        """P_k f."""
-        return SampledFunction(self.grid, _inverse_raw(self.grid, self.piece_hat), _adopt=True)
-
-    @cached_property
-    def _peak(self) -> float:
-        """max |psi_k fhat|."""
-        return float(np.max(np.abs(self.piece_hat, out=_workspace(self.grid)[2])))
-
-    @cached_property
-    def _norms(self) -> dict:
-        """||P_k f||_p for p = 1, 2, 4, inf, from one |P_k f|."""
-        a, _, mag, _ = _workspace(self.grid)
-        np.abs(self.phys.values, out=mag)
-        terms = a.view(np.float64)[:mag.size]
-        return {p: _lp(mag, self.grid.spacing, p, terms) for p in (1, 2, 4, np.inf)}
-
-    @cached_property
-    def _vanishes(self) -> bool:
-        ref = self.spectrum._peak
-        return bool(self._peak == 0.0 or (ref > 0 and self._peak < _ZERO_PIECE_RTOL * ref))
+        grid, hat = f.grid, f.spectrum
+        n, h = grid.size, grid.spacing
+        self.k, (self.s, self.p) = k, derivative
+        with _workspace(n) as (piece_hat, a):
+            floats, scratch = piece_hat.view(np.float64), a.view(np.float64)[:n]
+            np.multiply(_windowed_piece(grid, k, scratch), hat.values, out=piece_hat)
+            self.peak = float(np.max(np.abs(piece_hat, out=scratch)))
+            self.hat_l2 = _l2(piece_hat, grid.xi_spacing, scratch) / np.sqrt(2.0 * np.pi)
+            phys = _inverse_raw(grid, piece_hat, out=a)
+            mag = np.abs(phys, out=floats[:n])
+            self.norms = {q: _lp(mag, h, q, floats[n:]) for q in (1, 2, 4, np.inf)}
+            np.multiply(grid.x, phys, out=phys)
+            self.dxi_l2 = _l2(_forward_raw(grid, phys, out=piece_hat), grid.xi_spacing, scratch)
+            np.multiply(_windowed_piece(grid, k, floats[:n]), hat.values, out=a)
+            np.multiply(_abs_xi_power(grid, self.s), a, out=a)
+            d = _inverse_raw(grid, a, out=piece_hat)
+            self.d_norm = _lp(np.abs(d, out=scratch), h, self.p, scratch)
+        ref = hat._peak
+        self.vanishes = bool(self.peak == 0.0 or (ref > 0 and self.peak < _ZERO_PIECE_RTOL * ref))
 
     def _require_nonzero(self):
-        if self._vanishes:
+        if self.vanishes:
             raise UndefinedRatioError(f"P_k f vanishes on the grid for k = {self.k}")
 
     def bernstein(self, p, q) -> float:
         """||P_k f||_q / (2^{k(1/p - 1/q)} ||P_k f||_p); p, q in {1, 2, 4, np.inf}."""
         self._require_nonzero()
         p, q = _exponent(p), _exponent(q)
-        return self._norms[q] / (2.0 ** (self.k * (1.0 / p - 1.0 / q)) * self._norms[p])
+        return self.norms[q] / (2.0 ** (self.k * (1.0 / p - 1.0 / q)) * self.norms[p])
 
-    def derivative_bernstein(self, s: float, p) -> tuple:
+    def derivative_bernstein(self) -> tuple:
         """(lhs/rhs, rhs/lhs) with lhs = ||P_k f||_p, rhs = 2^{-sk} || |D|^s P_k f ||_p."""
         self._require_nonzero()
-        p = _exponent(p)
-        a, b, mag, _ = _workspace(self.grid)
-        np.multiply(_abs_xi_power(self.grid, s), self.piece_hat, out=a)
-        dpiece = _inverse_raw(self.grid, a, out=b)
-        lhs = self._norms[p]
-        rhs = 2.0 ** (-s * self.k) * _lp(np.abs(dpiece, out=mag), self.grid.spacing, p, mag)
+        lhs = self.norms[self.p]
+        rhs = 2.0 ** (-self.s * self.k) * self.d_norm
         if rhs == 0.0 or lhs == 0.0:
             raise UndefinedRatioError(f"degenerate piece for k = {self.k}")
         return lhs / rhs, rhs / lhs
@@ -202,29 +218,27 @@ class _Piece:
 
         d/dxi (psi_k fhat) is the forward transform of -i x P_k f: the
         Plancherel manipulation of the lemma's proof, with no finite
-        differencing on the xi grid.
+        differencing on the xi grid. The piece transforms x P_k f instead: -i
+        turns each entry by an exact right angle, the transform's sums and
+        twiddle products turn with it, and the magnitudes, so the norm, come
+        out bit for bit the same (``TestPieceEngine``).
         """
         if denom == 0.0:
             raise UndefinedRatioError("zero denominator")
-        if self._peak == 0.0:
+        if self.peak == 0.0:
             return 0.0  # fhat vanishes on supp psi_k; the bound is trivially met
-        a, b, mag, minus_ix = _workspace(self.grid)
-        np.multiply(minus_ix, self.phys.values, out=a)
-        dxi = _forward_raw(self.grid, a, out=b)
-        return 2.0**self.k * _l2(dxi, self.grid.xi_spacing, mag) / denom
+        return 2.0**self.k * self.dxi_l2 / denom
 
     def lemma2(self, s: float, denom: float) -> float:
         """||psi_k fhat||_{L^inf} / (||P_k f||_{L^2} + 2^{-sk} denom)."""
-        if self._peak == 0.0:
+        if self.peak == 0.0:
             if denom == 0.0:
                 raise UndefinedRatioError("zero denominator")
             return 0.0  # fhat vanishes on supp psi_k; the bound is trivially met
-        piece_l2 = (_l2(self.piece_hat, self.grid.xi_spacing, _workspace(self.grid)[2])
-                    / np.sqrt(2.0 * np.pi))
-        total = piece_l2 + 2.0 ** (-s * self.k) * denom
+        total = self.hat_l2 + 2.0 ** (-s * self.k) * denom
         if total == 0.0:
             raise UndefinedRatioError("zero denominator")
-        return self._peak / total
+        return self.peak / total
 
 
 def _lemma_denominator(f: SampledFunction) -> float:
@@ -248,7 +262,7 @@ def bernstein_derivative_ratio(f: SampledFunction, k: int, s: float, p) -> tuple
     """
     if not (0 <= s <= 2):
         raise ParameterError("s must be in [0, 2]")
-    return _Piece(f, k).derivative_bernstein(s, p)
+    return _Piece(f, k, (s, _exponent(p))).derivative_bernstein()
 
 
 def lemma1_ratio(f: SampledFunction, k: int) -> float:

@@ -251,8 +251,8 @@ class TestTransformBits:
 
 # the minor page faults of one warm LEMMA_GRID sample. The warm-up takes two
 # samples: the first builds the grid's lasting state (pocketfft's plan, the
-# piece workspace, the trapezoid weights) between its own arrays, so the
-# second still grows the heap once, by one N-array (512 pages)
+# pooled piece workspaces, the trapezoid weights) between its own arrays, so
+# the second still grows the heap once, by one N-array (512 pages)
 _WARM_SAMPLE_FAULTS = """
 import resource
 from dispersive_decay.harness import SuiteConfig, run_lemma_suites

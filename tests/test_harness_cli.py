@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from dispersive_decay import cli, harness, pins, propagator
+from dispersive_decay import cli, harness, littlewood_paley, pins, propagator
 from dispersive_decay.calculus import (
     fractional_derivative,
     locate_sup,
@@ -23,7 +23,7 @@ from dispersive_decay.calculus import (
     weighted_norm,
 )
 from dispersive_decay.cli import build_parser, main, run_pins
-from dispersive_decay.errors import ParameterError
+from dispersive_decay.errors import OutOfBandError, ParameterError
 from dispersive_decay.grid import GridSpec, SampledFunction, _forward_raw, _inverse_raw, forward_ft
 from dispersive_decay.harness import (
     DYADIC_TIMES,
@@ -549,6 +549,64 @@ class TestLemmaSuites:
             assert (table[name]["max"], table[name]["median"]) == (np.max(ratios),
                                                                    np.median(ratios)), name
 
+    def test_table_equal_at_widths_1_and_2(self, width, monkeypatch):
+        # sample 10 of 21 is zero, so every row has 12 undefined cases of 252
+        # (under 5%); the 12 usable k of the grid run on two threads
+        def sample(grid, seed, i):
+            return SampledFunction(grid, np.zeros(grid.size)) if i == 10 else \
+                schwartz_sample(grid, seed, i)
+
+        monkeypatch.setattr(harness, "schwartz_sample", sample)
+        grid = GridSpec(half_width=200.0, size=8192)
+        cfg = SuiteConfig(seed=0, n_samples=21)
+        tables = []
+        for n in (1, 2):
+            width(n)
+            tables.append(run_lemma_suites(cfg, grid))
+        assert [(row["n"], row["n_undefined"]) for row in tables[0]] == [(240, 12)] * 6
+        as_bits = [[{key: np.float64(v).view(np.uint64) if isinstance(v, float) else v
+                     for key, v in row.items()} for row in table] for table in tables]
+        assert as_bits[1] == as_bits[0]
+
+    def test_stress_more_threads_than_cores_with_a_cold_pool(self, width, monkeypatch):
+        # six threads switching every microsecond all find the pool empty at
+        # once; each run must still give the serial table, and leave at most
+        # one workspace per thread in the pool
+        grid = GridSpec(half_width=200.0, size=8192)
+        cfg = SuiteConfig(seed=3, n_samples=2)
+        width(1)
+        serial = run_lemma_suites(cfg, grid)
+        width(6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                monkeypatch.setattr(littlewood_paley, "_FREE", [])
+                assert run_lemma_suites(cfg, grid) == serial
+                assert 1 <= len(littlewood_paley._FREE) <= 6
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_first_failing_k_in_k_order_is_raised(self, width, monkeypatch):
+        # pieces 0 and 1 fail; at width 2, piece 1 fails first in time
+        real = harness._Piece
+
+        def piece(f, k):
+            if k == 0:
+                time.sleep(0.3)
+            if k in (0, 1):
+                raise OutOfBandError(f"piece {k} failed")
+            return real(f, k)
+
+        monkeypatch.setattr(harness, "_Piece", piece)
+        messages = []
+        for n in (1, 2):
+            width(n)
+            with pytest.raises(OutOfBandError) as exc:
+                run_lemma_suites(SuiteConfig(seed=0, n_samples=1), self.GRID)
+            messages.append(str(exc.value))
+        assert messages == ["piece 0 failed"] * 2
+
     def test_transforms_per_sample(self, fft_calls):
         # one spectrum and the weighted norm's inverse transform per sample,
         # then P_k f, |D| P_k f and the transform of -i x P_k f per usable k
@@ -842,6 +900,34 @@ class TestCli:
         bad = t_grid.split(",")[-1]
         err = capsys.readouterr().err
         assert err == f"invalid configuration: times must be finite, got {bad}\n"
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        pytest.param(["trace-proof", "--time", "nan"], "--time", "nan", id="trace-proof-time"),
+        pytest.param(["stationary-point", "--time", "nan", "--x", "1"], "--time", "nan",
+                     id="stationary-point-time"),
+        pytest.param(["stationary-point", "--time", "8", "--x", "inf"], "--x", "inf",
+                     id="stationary-point-x"),
+        pytest.param(["factorization-check", "--dt", "nan"], "--dt", "nan",
+                     id="factorization-check-dt"),
+        pytest.param(["factorization-check", "--time=-inf"], "--time", "-inf",
+                     id="factorization-check-time"),
+        pytest.param(["verify-decay", "--alpha", "nan"], "--alpha", "nan",
+                     id="verify-decay-alpha"),
+        pytest.param(["lemma-suite", "--half-width", "inf"], "--half-width", "inf",
+                     id="lemma-suite-half-width"),
+    ])
+    def test_non_finite_float_flag_exit_2(self, argv, flag, value, monkeypatch, capsys):
+        # refused while parsing, naming the flag, before the command runs
+        def no_run(args):
+            raise AssertionError("the command ran")
+
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        monkeypatch.setitem(sub.choices[argv[0]]._defaults, "func", no_run)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be finite, got {value}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["trace-proof", "--band", "0.25:0.2501"],

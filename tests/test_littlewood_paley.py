@@ -1,5 +1,8 @@
 """Dyadic decomposition: bump, projections, Bernstein and weighted-norm ratios."""
 
+import contextlib
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,15 +11,15 @@ from dispersive_decay.errors import (
     ParameterError,
     UndefinedRatioError,
 )
-from dispersive_decay import littlewood_paley
+from dispersive_decay import harness, littlewood_paley
 from dispersive_decay.calculus import lp_norm
-from dispersive_decay.grid import GridSpec, SampledFunction, SpectralFunction, forward_ft, inverse_ft
-from dispersive_decay.harness import _ROW_RATIOS, LEMMA_GRID
+from dispersive_decay.grid import (GridSpec, SampledFunction, SpectralFunction, _forward_raw, _l2,
+                                   forward_ft, inverse_ft)
+from dispersive_decay.harness import _ROW_RATIOS, LEMMA_GRID, SuiteConfig, run_lemma_suites
 from dispersive_decay.littlewood_paley import (
     _lemma_denominator,
     _Piece,
     _windowed_piece,
-    _workspace,
     BumpFunction,
     bernstein_derivative_ratio,
     bernstein_ratio,
@@ -229,7 +232,7 @@ def bits(a: np.ndarray) -> np.ndarray:
 
 
 class TestPieceEngine:
-    """_Piece at its transforms: a windowed bump, one workspace per grid, one norm per (piece, p)."""
+    """_Piece at its transforms: a windowed bump, pooled workspaces, one norm per (piece, p)."""
 
     def test_windowed_bump_is_bit_equal(self, bump):
         # pi / L = 1 puts the nodes on the integers, so 2^{k-1} and 2^{k+1} are nodes
@@ -244,24 +247,74 @@ class TestPieceEngine:
                                               bits(bump.dyadic_piece(grid.xi, k)),
                                               err_msg=f"{grid}, k = {k}")
 
-    def test_escaping_arrays_own_their_memory(self, grid200):
-        # every row of every piece runs; the arrays a piece hands out keep
-        # their bits and share no memory with the grid's workspace
+    def test_escaping_arrays_own_their_memory(self, grid200, monkeypatch):
+        # a piece hands out scalars alone: every row of every piece keeps its
+        # bits while later pieces run in the same workspace, and no piece holds
+        # an array; serial pieces reuse one pooled workspace
+        monkeypatch.setattr(littlewood_paley, "_FREE", [])
         f = schwartz_sample(grid200, 0, 1)
         denom = _lemma_denominator(f)
-        pieces = [_Piece(f, k) for k in range(-4, 6)]
-        kept = []
+
+        def rows(piece):
+            return [np.float64(ratio(piece, denom)).view(np.uint64)
+                    for ratio in _ROW_RATIOS.values()]
+
+        pieces, kept = [], []
+        for k in range(-4, 6):
+            pieces.append(_Piece(f, k))
+            kept.append(rows(pieces[-1]))
+        assert [rows(piece) for piece in pieces] == kept
         for piece in pieces:
-            for ratio in _ROW_RATIOS.values():
-                ratio(piece, denom)
-            kept.append((bits(piece.piece_hat).copy(), bits(piece.phys.values).copy()))
-        workspace = _workspace(grid200)
-        for piece, (piece_hat, phys) in zip(pieces, kept):
-            np.testing.assert_array_equal(bits(piece.piece_hat), piece_hat)
-            np.testing.assert_array_equal(bits(piece.phys.values), phys)
-            for arr in (piece.piece_hat, piece.phys.values):
-                assert not any(np.shares_memory(arr, buf) for buf in workspace)
-        assert _workspace(grid200) is workspace
+            assert not any(isinstance(v, np.ndarray) for v in vars(piece).values())
+        free = littlewood_paley._FREE
+        assert len(free) == 1 and free[0][0].size == grid200.size
+
+    def test_lemma1_transform_of_x_is_bit_equal_to_minus_i_x(self, grid200):
+        # d/dxi (psi_k fhat) is the transform of -i x P_k f; the piece transforms
+        # x P_k f, whose magnitudes, and so the L^2 norm, must keep every bit
+        for grid in (grid200, GridSpec(half_width=40.0, size=4096)):
+            for i in range(3):
+                f = schwartz_sample(grid, 1, i)
+                for k in (k for k in range(-8, 9) if resolvable_k(grid, k)):
+                    dxi = _forward_raw(grid, -1j * grid.x * project(f, k).values)
+                    assert _Piece(f, k).dxi_l2 == _l2(dxi, grid.xi_spacing), (grid, i, k)
+
+    def test_concurrent_pieces_never_share_a_workspace(self, grid200, monkeypatch):
+        # the first two pieces of each run wait for each other while they hold
+        # their workspaces, so the two threads do overlap
+        held, runs, lock = [], [], threading.Lock()
+        overlap = threading.Barrier(2, timeout=30)
+        checkout = littlewood_paley._workspace
+
+        @contextlib.contextmanager
+        def spied(n):
+            with checkout(n) as ws:
+                with lock:
+                    for other in held:
+                        assert not any(np.shares_memory(a, b) for a in ws for b in other)
+                    held.append(ws)
+                    runs[-1].append(ws)
+                    first_two = len(runs[-1]) <= 2
+                if first_two:
+                    overlap.wait()
+                try:
+                    yield ws
+                finally:
+                    with lock:
+                        held[:] = [w for w in held if w is not ws]
+
+        monkeypatch.setattr(littlewood_paley, "_workspace", spied)
+        monkeypatch.setattr(littlewood_paley, "_FREE", [])
+        monkeypatch.setattr(harness, "_cpus", lambda: 2)
+        cfg = SuiteConfig(seed=0, n_samples=2)
+        for _ in range(2):
+            runs.append([])
+            run_lemma_suites(cfg, grid200)
+            pool = list(littlewood_paley._FREE)
+            assert 1 <= len(pool) <= harness._cpus()
+        # the second run checks out only workspaces of the first run's pool
+        assert {id(ws) for ws in runs[1]} <= {id(ws) for ws in runs[0]}
+        assert {id(ws) for ws in runs[1]} == {id(ws) for ws in pool}
 
     def test_one_norm_per_piece_and_p(self, grid200, monkeypatch):
         # four norms of P_k f and one of |D| P_k f, however many rows read them
