@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemma-suite", help="Bernstein and weighted-norm lemma ratio suites")
     _add_flags(p, "--seed --samples --grid-n --half-width --out",
-               func=cmd_lemma_suite, half_width=200.0)
+               func=cmd_lemma_suite, half_width=LEMMA_GRID.half_width, grid_n=LEMMA_GRID.size)
 
     p = sub.add_parser("trace-proof", help="per-term proof trace at one time")
     _add_flags(p, "--alpha --seed --grid-n --half-width --band --out --allow-empty-band --time",

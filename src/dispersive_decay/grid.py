@@ -54,10 +54,6 @@ __all__ = [
 ]
 
 
-def _is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform spatial grid on [-L, L) with its dual frequency grid.
@@ -74,10 +70,8 @@ class GridSpec:
     def __post_init__(self):
         if not (self.half_width > 0):
             raise InvalidInputError("half_width must be positive")
-        if self.size < 16 or self.size % 2 != 0:
-            raise InvalidInputError("size must be an even integer >= 16")
-        if not _is_pow2(self.size):
-            raise InvalidInputError("size must be a power of two")
+        if self.size < 16 or self.size & (self.size - 1):
+            raise InvalidInputError("size must be a power of two >= 16")
 
     @property
     def spacing(self) -> float:
@@ -275,13 +269,8 @@ def _inverse_raw(grid: GridSpec, hat: np.ndarray, out: np.ndarray | None = None)
 
     A complex ``hat`` may pass ``out``, a complex N-array for the FFT to run in.
     ``out`` may be ``hat`` itself, which then holds one half aside while its halves swap.
-
-    numpy divides a complex entry by h as ((re + im 0) s, (im - re 0) s), with s = 1/h;
-    the complex product by (s, -0) is (re s + im 0, im s - re 0). For h <= 1, s >= 1 and a
-    nonzero re s or im s cannot underflow, so it absorbs the zero term, as the division's
-    sum does; a zero re or im leaves the same signed zero in both. For h > 1 a subnormal
-    im s can round to a zero of the other sign, and a real hat's a / h differs from
-    a * (1/h) in the last bit: both keep the division.
+    A complex hat is scaled by (1/h, -0) only for h <= 1, where it keeps the division's
+    signed zeros (``TestTransformBits``).
     """
     _keep_heap()
     signs, m = grid._signs(), grid.size // 2

@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 DYADIC_TIMES = tuple(float(2**i) for i in range(0, 11))
+_TABLE_TIMES = 16  # the most times whose multipliers a decay run holds at once
 
 
 @dataclass(frozen=True)
@@ -138,10 +139,7 @@ def _fan_out(fn, items) -> list:
     once. The results come back in input order, and an error is raised for the
     first failing item in that order, as the plain loop would raise it. With
     one CPU or one item, ``fn`` runs in the calling thread and no thread starts.
-    ``fn`` may share only read-only state between items: the cached axes,
-    windows and factorisations are, and so is a decay run's multiplier table,
-    formed before the fan-out and never written after. A lemma piece writes
-    only to a workspace it has checked out of the pool for itself.
+    ``fn`` may share only read-only state between items (``TestFanOut``).
     """
     items = list(items)
     width = min(len(items), _cpus())
@@ -196,8 +194,10 @@ def _decay_report(config: SuiteConfig, grid: GridSpec, halves: dict, i: int) -> 
 def run_decay(config: SuiteConfig) -> list:
     """Evolve each sample over the time grid and assemble the decay reports.
 
-    The multiplier of each nonzero time is formed once, in the calling
-    thread, unless the backend is forced to quadrature. The samples are
+    The multiplier of each nonzero time among the first ``_TABLE_TIMES`` is
+    formed once, in the calling thread, unless the backend is forced to
+    quadrature; a later time's is formed by each sample, so the table's
+    memory does not grow with the run's length. The samples are
     independent and run at once, one per CPU (``_fan_out``); the reports come
     back in sample order. A sample whose band holds no occupied grid
     frequency has nothing to evolve; the suite is then degenerate and an
@@ -205,7 +205,8 @@ def run_decay(config: SuiteConfig) -> list:
     """
     grid = config.grid()
     forced_quadrature = config.backend == "quadrature"
-    halves = {} if forced_quadrature else _multipliers(grid, config.alpha, config.times)
+    halves = {} if forced_quadrature else _multipliers(grid, config.alpha,
+                                                       config.times[:_TABLE_TIMES])
     report = functools.partial(_decay_report, config, grid, halves)
     return _fan_out(report, range(config.n_samples))
 

@@ -276,8 +276,6 @@ def trace_terms(phi: SampledFunction, t: float, x: float, alpha: float = 0.5,
     ``terms`` maps each term, A to C, to its value and its ratio to the right side
     of its bound: finite, recorded ratios standing in for the implicit constants.
     """
-    if t == 0.0:
-        raise ParameterError("t must be nonzero")
     part = build_partition(t, x, alpha)
     amp = _amplitude(phi.spectrum)
     if not amp.support:

@@ -80,6 +80,11 @@ __all__ = [
 _WRAP_FRACTION = 0.4
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (0 < alpha < 1):
+        raise ParameterError("alpha must lie in (0, 1)")
+
+
 def _phi(xi, alpha):
     return np.abs(xi) ** alpha
 
@@ -148,8 +153,7 @@ class PhaseSpec:
     x: float = 0.0
 
     def __post_init__(self):
-        if not (0 < self.alpha < 1):
-            raise ParameterError("alpha must lie in (0, 1)")
+        _check_alpha(self.alpha)
 
     def q(self, xi):
         return _q(np.asarray(xi, dtype=float), self.t, self.x, self.alpha)
@@ -168,8 +172,7 @@ def stationary_point(t: float, x: float, alpha: float = 0.5):
     configuration (x = 0 or t = 0) is a signal, not an error: the phase is then
     monotone in the relevant sense.
     """
-    if not (0 < alpha < 1):
-        raise ParameterError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     if t == 0.0 or x == 0.0:
         return None
     mag = (alpha * abs(t) / abs(x)) ** (1.0 / (1.0 - alpha))
@@ -184,8 +187,7 @@ def evolve_spectral(phi: SampledFunction, t: float, alpha: float = 0.5, *,
     run shares it between samples; without it the call forms its own and keeps none.
     """
     _check_finite(phi, "evolve_spectral")
-    if not (0 < alpha < 1):
-        raise ParameterError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     if t == 0.0:
         return phi
     hat = phi.spectrum.values
@@ -525,8 +527,7 @@ def evolve_quadrature(phi_hat: SpectralFunction, t: float, x_points, alpha: floa
     No periodicity assumption: this is the slow, trustworthy backend used to
     cross-check the spectral one and to evaluate off-grid points.
     """
-    if not (0 < alpha < 1):
-        raise ParameterError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     amp = _amplitude(phi_hat)
     if amp.excluded_mass > 0 and t != 0.0:
         warnings.warn(

@@ -429,3 +429,21 @@ class TestProperties:
         lhs = forward_ft(shifted).values
         rhs = np.exp(-1j * grid40.xi * x0) * forward_ft(f).values
         assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+_GRID_IMPORTS = """
+import sys
+import dispersive_decay.grid
+print(sorted(m for m in sys.modules if m.startswith("dispersive_decay.")))
+print("scipy.interpolate" in sys.modules)
+"""
+
+
+def test_grid_import_loads_no_other_package_module():
+    # the package root re-exports nothing, so the grid layer loads only what it
+    # imports itself, and not the quadrature spline's scipy.interpolate
+    src = os.path.dirname(os.path.dirname(grid_module.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _GRID_IMPORTS], env=env,
+                         capture_output=True, text=True, check=True).stdout.split("\n")
+    assert out[:2] == ["['dispersive_decay.errors', 'dispersive_decay.grid']", "False"]

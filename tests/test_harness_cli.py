@@ -431,6 +431,25 @@ class TestFanOut:
         assert generator_peak < 2.25 * n_array  # the sample and one spectrum
         assert phi.values.nbytes == n_array
 
+    def test_multiplier_table_capped_for_long_runs(self):
+        # the run holds the multipliers of at most 16 times, so 64 times peak
+        # within 16 table entries of 11 (53 entries without the cap)
+        def peak(n_times):
+            cfg = SuiteConfig(seed=0, n_samples=2, times=tuple(map(float, range(1, n_times + 1))),
+                              half_width=2048.0, grid_n=2**15)
+            tracemalloc.start()
+            try:
+                reports = run_decay(cfg)
+                traced = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert {b for r in reports for b in r.backends} == {"spectral"}
+            return traced
+
+        peak(1)  # the window, axes and FFT plan are built
+        entry = 16 * (2**14 + 1)
+        assert peak(64) - peak(11) < 16 * entry
+
 
 class TestSuiteConfig:
     def test_validation(self):

@@ -35,9 +35,11 @@ GRID = GridSpec(half_width=200.0, size=32768)
 
 
 class TestBandPartition:
-    def test_t_zero_rejected(self):
+    def test_t_zero_rejected(self, grid40):
         with pytest.raises(ParameterError):
             build_partition(0.0, 1.0)
+        with pytest.raises(ParameterError, match="t must be nonzero"):
+            trace_terms(SampledFunction(grid40, np.exp(-grid40.x ** 2)), 0.0, 1.0)
 
     def test_small_t_empty_middle(self):
         part = build_partition(1.0, -1.0)

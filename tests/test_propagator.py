@@ -80,10 +80,15 @@ class TestPhaseSpec:
             assert abs(spec.dq(xi) - fdq) < 1e-7
             assert abs(spec.d2q(xi) - fd2q) < 1e-6
 
-    def test_alpha_validation(self):
+    def test_alpha_validation(self, grid40):
+        f = gaussian(grid40)
         for alpha in (0.0, 1.0, 1.5):
-            with pytest.raises(ParameterError):
-                PhaseSpec(alpha=alpha)
+            for call in (lambda: PhaseSpec(alpha=alpha),
+                         lambda: stationary_point(1.0, 1.0, alpha),
+                         lambda: evolve_spectral(f, 1.0, alpha),
+                         lambda: evolve_quadrature(f.spectrum, 1.0, [0.0], alpha)):
+                with pytest.raises(ParameterError, match=r"alpha must lie in \(0, 1\)"):
+                    call()
 
     def test_half_curvature_formula(self):
         # at t = 1, |Q''(xi)| = |Phi''(xi)| = (1/4)|xi|^{-3/2} for alpha = 1/2
