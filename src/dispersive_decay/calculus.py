@@ -23,7 +23,6 @@ from .grid import (
     _edge_exceeds,
     _inverse_raw,
     _trapezoid_sum,
-    l2_norm_physical,
     trapezoid_weights,
 )
 
@@ -41,14 +40,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NormBundle:
-    """The norms appearing on the right side of the decay estimate."""
+    """The norms of the decay estimate's denominator, ||phi||_{H^1} + ||x phi'||_{L^2}."""
 
-    l2: float
     h1: float
     weighted: float
 
     def __post_init__(self):
-        if not all(np.isfinite(v) and v >= 0 for v in (self.l2, self.h1, self.weighted)):
+        if not all(np.isfinite(v) and v >= 0 for v in (self.h1, self.weighted)):
             raise InvalidInputError("norm bundle entries must be finite and nonnegative")
 
 
@@ -91,10 +89,10 @@ def spectral_derivative(f: SampledFunction, order: int = 1) -> SampledFunction:
 
 
 def _exponent(p):
-    """p in {1, 2, 4, np.inf}, with "inf" read as np.inf; any other p is rejected."""
-    if p not in (1, 2, 4, np.inf, "inf"):
+    """p itself, when it is one of 1, 2, 4 and np.inf; any other p is rejected."""
+    if p not in (1, 2, 4, np.inf):
         raise ParameterError("only p in {1, 2, 4, inf} is supported")
-    return np.inf if p == "inf" else p
+    return p
 
 
 def _lp(mag: np.ndarray, spacing: float, p, terms: np.ndarray) -> float:
@@ -139,9 +137,9 @@ def weighted_norm(f: SampledFunction) -> float:
 
 
 def norms(f: SampledFunction) -> NormBundle:
-    """L^2, H^1 and weighted norms of f."""
+    """H^1 and weighted norms of f."""
     _check_finite(f, "norms")
-    return NormBundle(l2=l2_norm_physical(f), h1=hs_norm(f, 1.0), weighted=weighted_norm(f))
+    return NormBundle(h1=hs_norm(f, 1.0), weighted=weighted_norm(f))
 
 
 class SupResult(NamedTuple):
@@ -152,8 +150,9 @@ class SupResult(NamedTuple):
 def locate_sup(f: SampledFunction) -> SupResult:
     """Sup norm with a 3-point quadratic refinement around the discrete argmax.
 
-    The refinement removes the O(h^2) noise a pure grid max would add to the
-    decay curves, which are the headline output of the harness.
+    The vertex refines only the lobe of the grid argmax. Where the fringes of |u| lie
+    about 2 h apart, the grid can sample the top lobe near its troughs, and the sup can
+    fall 15% short (strict xfail ``TestSup::test_reported_sup_reaches_the_oracle``).
     """
     _check_finite(f, "locate_sup")
     mag = np.abs(f.values)

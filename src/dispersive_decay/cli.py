@@ -24,7 +24,6 @@ from .errors import (
     UndefinedRatioError,
 )
 from .harness import (
-    DYADIC_TIMES,
     LEMMA_GRID,
     TRACE_GRID,
     TRACE_SUITE_TIMES,
@@ -52,17 +51,19 @@ def finite(s: str) -> float:
     return value
 
 
-# every flag of the commands; --half-width and --time take their defaults per command
+# every flag of the commands; a flag of a SuiteConfig field defaults to that field's default,
+# which a command may override (``_add_flags``), and --time has a default per command
 _FLAGS = {
-    "--alpha": dict(type=finite, default=0.5),
-    "--seed": dict(type=int, default=0),
-    "--samples": dict(type=int, default=20),
-    "--grid-n": dict(type=int, default=131072),
-    "--half-width": dict(type=finite),
-    "--band": dict(type=str, default="0.25:32", help="spectral band as lo:hi"),
-    "--t-grid": dict(type=str, default="dyadic",
-                     help="'dyadic' or a comma-separated list of times"),
-    "--backend": dict(choices=["auto", "spectral", "quadrature"], default="auto"),
+    "--alpha": dict(type=finite, default=SuiteConfig.alpha),
+    "--seed": dict(type=int, default=SuiteConfig.seed),
+    "--samples": dict(type=int, default=SuiteConfig.n_samples),
+    "--grid-n": dict(type=int, default=SuiteConfig.grid_n),
+    "--half-width": dict(type=finite, default=SuiteConfig.half_width),
+    "--band": dict(type=str, default=SuiteConfig.band, help="spectral band as lo:hi"),
+    "--t-grid": dict(type=str, default=SuiteConfig.times,
+                     help="a comma-separated list of times (default: %(default)s)"),
+    "--backend": dict(type=str, default=SuiteConfig.backend,
+                      help="auto (spectral, falling back to quadrature), spectral or quadrature"),
     "--out": dict(type=str, default=None),
     "--allow-empty-band": dict(action="store_true"),
     "--time": dict(type=finite),
@@ -89,22 +90,19 @@ def _parse_band(s: str) -> tuple:
 
 
 def _parse_times(s: str) -> tuple:
-    if s == "dyadic":
-        return DYADIC_TIMES
     try:
         return tuple(float(v) for v in s.split(","))
     except ValueError:
-        raise ParameterError(f"--t-grid must be 'dyadic' or a list a,b,..., got {s!r}") from None
+        raise ParameterError(f"--t-grid must be a list a,b,..., got {s!r}") from None
 
 
 def _config(args) -> SuiteConfig:
     """The SuiteConfig of the flags the command registered; the other fields keep their defaults."""
     given = {_FIELD_NAMES.get(dest, dest): value for dest, value in vars(args).items()}
     fields = {f.name: given[f.name] for f in dataclasses.fields(SuiteConfig) if f.name in given}
-    if "band" in fields:
-        fields["band"] = _parse_band(fields["band"])
-    if "times" in fields:
-        fields["times"] = _parse_times(fields["times"])
+    for name, parse in (("band", _parse_band), ("times", _parse_times)):
+        if isinstance(fields.get(name), str):  # given on the command line
+            fields[name] = parse(fields[name])
     return SuiteConfig(**fields)
 
 
@@ -169,12 +167,11 @@ def cmd_verify_decay(args) -> int:
     global_max = 0.0
     early, late = [], []
     for r in reports:
-        finite = [v for v in r.ratios if math.isfinite(v)]
-        if len(finite) != len(r.ratios):
+        if not all(math.isfinite(v) for v in r.ratios):
             print(f"sample {r.sample}: non-finite ratio entries", file=sys.stderr)
             status = EXIT_GUARD_FAILURE
             continue
-        global_max = max(global_max, max(finite))
+        global_max = max(global_max, *r.ratios)
         early.extend(v for t, v in zip(r.times, r.ratios) if t <= 64)
         late.extend(v for t, v in zip(r.times, r.ratios) if t >= 512)
     pinned = run_pins(args)
@@ -287,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-decay", help="decay ratio suite over dyadic times")
     _add_flags(p, "--alpha --seed --samples --grid-n --half-width --band --t-grid --backend "
-               "--out", func=cmd_verify_decay, half_width=8192.0)
+               "--out", func=cmd_verify_decay)
 
     p = sub.add_parser("lemma-suite", help="Bernstein and weighted-norm lemma ratio suites")
     _add_flags(p, "--seed --samples --grid-n --half-width --out",

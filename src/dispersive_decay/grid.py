@@ -17,8 +17,6 @@ it is not an algebraic identity of the DFT.
 The FFTs are ``scipy.fft``'s (pocketfft, as in numpy.fft), with the centring
 shift and the scaling written straight into one output array;
 ``TestTransformBits`` holds both bit-identical to the numpy.fft + fftshift form.
-For h <= 1 the inverse scales a complex spectrum by (1/h, -0), a complex
-multiply that is bit for bit numpy's slower division by h (``_inverse_raw``).
 
 On glibc the first transform sets the allocator policy of the whole process
 (``mallopt``): up to 64 MiB of freed heap stays mapped, and blocks under 32 MiB
@@ -114,6 +112,7 @@ def _axes(half_width: float, size: int) -> tuple:
     return x, xi, signs
 
 
+@dataclass(frozen=True)
 class _ReadOnlyValues:
     """Base of the sample classes: ``values`` is complex and read-only, so cached verdicts hold.
 
@@ -121,12 +120,16 @@ class _ReadOnlyValues:
     for an array it has just formed and hands over.
     """
 
-    def _freeze_values(self, adopt: bool):
+    grid: GridSpec
+    values: np.ndarray
+    _adopt: InitVar[bool] = False
+
+    def __post_init__(self, _adopt):
         arr = np.asarray(self.values, dtype=np.complex128)
         n = self.grid.size
         if arr.shape != (n,):
             raise InvalidInputError(f"values must have shape ({n},), got {arr.shape}")
-        if not adopt:
+        if not _adopt:
             arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -136,16 +139,8 @@ class _ReadOnlyValues:
         return bool(np.all(np.isfinite(self.values)))
 
 
-@dataclass(frozen=True)
 class SampledFunction(_ReadOnlyValues):
     """Complex samples of a function on the physical side of a GridSpec."""
-
-    grid: GridSpec
-    values: np.ndarray
-    _adopt: InitVar[bool] = False
-
-    def __post_init__(self, _adopt):
-        self._freeze_values(_adopt)
 
     @functools.cached_property
     def spectrum(self) -> "SpectralFunction":
@@ -157,16 +152,8 @@ class SampledFunction(_ReadOnlyValues):
         return SpectralFunction(self.grid, _forward_raw(self.grid, self.values), _adopt=True)
 
 
-@dataclass(frozen=True)
 class SpectralFunction(_ReadOnlyValues):
     """Complex samples of a Fourier transform on the dual grid."""
-
-    grid: GridSpec
-    values: np.ndarray
-    _adopt: InitVar[bool] = False
-
-    def __post_init__(self, _adopt):
-        self._freeze_values(_adopt)
 
     @functools.cached_property
     def _peak(self) -> float:
@@ -267,15 +254,14 @@ def _forward_raw(grid: GridSpec, values: np.ndarray, out: np.ndarray | None = No
 def _inverse_raw(grid: GridSpec, hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Exact inverse of _forward_raw (equals the Riemann sum of the inversion integral).
 
-    A complex ``hat`` may pass ``out``, a complex N-array for the FFT to run in.
-    ``out`` may be ``hat`` itself, which then holds one half aside while its halves swap.
-    A complex hat is scaled by (1/h, -0) only for h <= 1, where it keeps the division's
-    signed zeros (``TestTransformBits``).
+    ``hat`` is complex. ``out``, a complex N-array for the FFT to run in, may be ``hat``
+    itself, which then holds one half aside while its halves swap. For h <= 1 the scaling
+    by (1/h, -0) keeps the division's signed zeros (``TestTransformBits``).
     """
     _keep_heap()
     signs, m = grid._signs(), grid.size // 2
-    # ifftshift(hat signs) / h in place; a real hat is divided while still real
-    F = np.empty(grid.size, dtype=np.result_type(hat, signs)) if out is None else out
+    # ifftshift(hat signs) / h in place
+    F = np.empty(grid.size, dtype=np.complex128) if out is None else out
     if out is hat:
         upper = hat[m:] * signs[m:]
         np.multiply(hat[:m], signs[:m], out=F[m:])
@@ -285,11 +271,11 @@ def _inverse_raw(grid: GridSpec, hat: np.ndarray, out: np.ndarray | None = None)
         np.multiply(hat[m:], signs[m:], out=F[:m])
         np.multiply(hat[:m], signs[:m], out=F[m:])
     h = grid.spacing
-    if h <= 1.0 and F.dtype == np.complex128:
+    if h <= 1.0:
         F *= complex(1.0 / h, -0.0)
     else:
         F /= h
-    return scipy.fft.ifft(F.astype(np.complex128, copy=False), overwrite_x=True)
+    return scipy.fft.ifft(F, overwrite_x=True)
 
 
 def _edge_exceeds(mag: np.ndarray, rtol: float) -> bool:

@@ -28,7 +28,7 @@ from .errors import (
     UndefinedRatioError,
 )
 from .grid import GridSpec, SampledFunction, SpectralFunction, inverse_ft
-from .littlewood_paley import _lemma_denominator, _Piece, resolvable_k
+from .littlewood_paley import _lemma_denominator, _Piece, _usable_bands
 from .propagator import (_amplitude, _multipliers, _node_ranges, evolve_quadrature,
                          evolve_spectral, phase_speed)
 from .proof_tracer import choose_l0, kernel_lower_bound, q0_estimate, trace_terms
@@ -197,11 +197,10 @@ def run_decay(config: SuiteConfig) -> list:
     The multiplier of each nonzero time among the first ``_TABLE_TIMES`` is
     formed once, in the calling thread, unless the backend is forced to
     quadrature; a later time's is formed by each sample, so the table's
-    memory does not grow with the run's length. The samples are
-    independent and run at once, one per CPU (``_fan_out``); the reports come
-    back in sample order. A sample whose band holds no occupied grid
-    frequency has nothing to evolve; the suite is then degenerate and an
-    error is raised for the first such sample.
+    memory does not grow with the run's length. The samples are independent
+    and run at once, one per CPU (``_fan_out``). A sample whose band holds no
+    occupied grid frequency has nothing to evolve; the suite is then
+    degenerate and an error is raised for the first such sample.
     """
     grid = config.grid()
     forced_quadrature = config.backend == "quadrature"
@@ -241,7 +240,7 @@ def run_lemma_suites(config: SuiteConfig, grid: GridSpec | None = None) -> list:
     usable or more than 5% of the evaluated cases of a row are undefined.
     """
     grid = grid or LEMMA_GRID
-    usable = [k for k in range(LEMMA_K_RANGE[0], LEMMA_K_RANGE[1] + 1) if resolvable_k(grid, k)]
+    usable = _usable_bands(grid, range(LEMMA_K_RANGE[0], LEMMA_K_RANGE[1] + 1), np.abs(grid.xi))
     if not usable:
         raise SuiteDegenerateError(
             f"no k in {LEMMA_K_RANGE} has an annulus resolved by the grid "

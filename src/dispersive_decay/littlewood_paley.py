@@ -10,17 +10,10 @@ The ratio operations at the bottom are the numerical content of the two
 weighted-norm lemmas and of the Bernstein inequalities: each returns the
 quotient of the two sides of an inequality whose constant is implicit, and the
 suites record the empirical maxima as regression-pinned constants.  All of them
-are functionals of one dyadic piece and are computed by ``_Piece``, which holds
-the Nyquist guard and the zero-piece test and adds three transforms (P_k f,
-|D|^s P_k f and the transform of -i x P_k f) to psi_k fhat.  Every piece
-reads the sample's cached spectrum, so a sample is transformed once for all
-its pieces and rows.  A piece costs little beyond its transforms: psi_k is
-evaluated once per grid, only where 2^{k-1} <= |xi| <= 2^{k+1} (it is exactly
-0.0 elsewhere), the four L^p norms of |P_k f| are formed together once, and
-every array of a piece lives in a workspace checked out of a pool
-(``_workspace``) for the piece's construction alone.  A piece keeps scalars
-only, so pieces can be built on several threads at once; the pool holds one
-workspace for each piece ever built at the same time, and hands them out again.
+are functionals of one dyadic piece, computed by ``_Piece`` from the sample's
+cached spectrum, so a sample is transformed once for all its pieces and rows.
+A piece keeps scalars only, and holds its arrays in a pooled workspace
+(``_workspace``) while it is built, so pieces can be built on several threads.
 """
 
 from __future__ import annotations
@@ -97,9 +90,11 @@ def _in_band(grid: GridSpec, k: int) -> bool:
     return 2.0 ** (k + 1) <= grid.nyquist
 
 
-def _annulus_holds(abs_xi: np.ndarray, k: int) -> bool:
-    """True when some |xi| of ``abs_xi`` lies in the open annulus 2^{k-1} < |xi| < 2^{k+1}."""
-    return bool(np.any((abs_xi > 2.0 ** (k - 1)) & (abs_xi < 2.0 ** (k + 1))))
+def _usable_bands(grid: GridSpec, ks, abs_xi: np.ndarray) -> list:
+    """The k of ``ks`` whose band fits below the Nyquist frequency and whose open annulus
+    2^{k-1} < |xi| < 2^{k+1} holds some |xi| of ``abs_xi``."""
+    return [k for k in ks if _in_band(grid, k)
+            and np.any((abs_xi > 2.0 ** (k - 1)) & (abs_xi < 2.0 ** (k + 1)))]
 
 
 def _require_in_band(grid: GridSpec, k: int):
@@ -164,12 +159,9 @@ def _windowed_piece(grid: GridSpec, k: int, out: np.ndarray) -> np.ndarray:
 class _Piece:
     """The scalars of the dyadic piece psi_k fhat of one sample, and every ratio built from them.
 
-    In one checked-out workspace of two complex arrays: psi_k fhat, in the first, gives the
-    peak and ||psi_k fhat||_2; P_k f, inverted into the second, gives its norms, with the
-    first's float halves as scratch; x P_k f is transformed into the first; psi_k fhat,
-    formed again in the second, gives |D|^s P_k f in the first. No transform runs in place
-    and the bump is cached (``_bump_window``), so pocketfft's scratch is the piece's only
-    other large block. ``derivative`` is the (s, p) of the |D|^s P_k f norm.
+    Its arrays are the two of one checked-out workspace; no transform runs in place and the
+    bump is cached (``_bump_window``), so pocketfft's scratch is the piece's only other large
+    block. ``derivative`` is the (s, p) of the |D|^s P_k f norm.
     """
 
     def __init__(self, f: SampledFunction, k: int, derivative: tuple = (1.0, 2)):
@@ -201,7 +193,6 @@ class _Piece:
     def bernstein(self, p, q) -> float:
         """||P_k f||_q / (2^{k(1/p - 1/q)} ||P_k f||_p); p, q in {1, 2, 4, np.inf}."""
         self._require_nonzero()
-        p, q = _exponent(p), _exponent(q)
         return self.norms[q] / (2.0 ** (self.k * (1.0 / p - 1.0 / q)) * self.norms[p])
 
     def derivative_bernstein(self) -> tuple:
@@ -219,9 +210,7 @@ class _Piece:
         d/dxi (psi_k fhat) is the forward transform of -i x P_k f: the
         Plancherel manipulation of the lemma's proof, with no finite
         differencing on the xi grid. The piece transforms x P_k f instead: -i
-        turns each entry by an exact right angle, the transform's sums and
-        twiddle products turn with it, and the magnitudes, so the norm, come
-        out bit for bit the same (``TestPieceEngine``).
+        is an exact right angle, so the norm keeps every bit (``TestPieceEngine``).
         """
         if denom == 0.0:
             raise UndefinedRatioError("zero denominator")
@@ -278,6 +267,5 @@ def lemma2_ratio(f: SampledFunction, k: int, s: float) -> float:
 
 
 def resolvable_k(grid: GridSpec, k: int) -> bool:
-    """True when the annulus 2^{k-1} < |xi| < 2^{k+1} contains at least one grid node
-    and fits below the Nyquist frequency."""
-    return _in_band(grid, k) and _annulus_holds(np.abs(grid.xi), k)
+    """True when band k fits below the Nyquist frequency and its annulus holds a grid node."""
+    return bool(_usable_bands(grid, (k,), np.abs(grid.xi)))

@@ -30,9 +30,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .calculus import hs_norm, weighted_norm
-from .errors import ParameterError
+from .errors import ParameterError, UndefinedRatioError
 from .grid import SampledFunction, l2_norm_physical
-from .littlewood_paley import _BUMP, _annulus_holds, _in_band
+from .littlewood_paley import _BUMP, _usable_bands
 from .propagator import (
     SpectralAmplitude,
     _amplitude,
@@ -275,6 +275,8 @@ def trace_terms(phi: SampledFunction, t: float, x: float, alpha: float = 0.5,
 
     ``terms`` maps each term, A to C, to its value and its ratio to the right side
     of its bound: finite, recorded ratios standing in for the implicit constants.
+    A sample with an empty occupied band traces to zeros; on any other, a bound
+    that vanishes (its norms underflow) raises UndefinedRatioError.
     """
     part = build_partition(t, x, alpha)
     amp = _amplitude(phi.spectrum)
@@ -284,15 +286,24 @@ def trace_terms(phi: SampledFunction, t: float, x: float, alpha: float = 0.5,
             piece_mags={}, memberships={}, low_mag=0.0,
             terms=dict.fromkeys(_TERM_BANDS, BoundedValue(0.0, 0.0)),
         )
-    occupied_xi = np.abs(phi.grid.xi[phi.spectrum.occupied])
-    active = []
-    for k in _K_SCAN:
-        if not _in_band(phi.grid, k):
-            break
-        if _annulus_holds(occupied_xi, k):
-            active.append(k)
-    if not active:
-        active = [0]
+    l2 = l2_norm_physical(phi)
+    w = weighted_norm(phi)
+    h1 = hs_norm(phi, 1.0)
+    hs = hs_norm(phi, (2.0 - alpha) / 2.0)
+    at = abs(t)
+    lw = l2 + w
+    b2_rate = at**-0.5 + at ** ((2.0 - 3.0 * alpha) / 4.0 - 0.75)
+    # term -> (factor, bound): the ratio of its value v to its bound is v * factor / bound
+    bounds = {
+        "A": (1.0, (1.0 + at) ** -0.5 * l2),
+        "B1": (at, math.log1p(at) * lw),
+        "B2": (1.0, b2_rate * (hs + w)),
+        "B3": (at**0.5, lw),
+        "C": (1.0, (1.0 + at) ** -0.5 * h1),
+    }
+    if not all(bound > 0.0 for _, bound in bounds.values()):
+        raise UndefinedRatioError("the right side of a proof-term bound vanishes")
+    active = _usable_bands(phi.grid, _K_SCAN, np.abs(phi.grid.xi[phi.spectrum.occupied])) or [0]
     k_lo = min(active)
 
     scale8 = 8.0 * amp.xi_spacing
@@ -327,27 +338,12 @@ def trace_terms(phi: SampledFunction, t: float, x: float, alpha: float = 0.5,
     mags = {k: abs(v) for k, v in pieces_c.items()}
     members = {k: part.membership(k) for k in active}
 
-    l2 = l2_norm_physical(phi)
-    w = weighted_norm(phi)
-    h1 = hs_norm(phi, 1.0)
-    hs = hs_norm(phi, (2.0 - alpha) / 2.0)
-    at = abs(t)
-    lw = l2 + w
-    b2_rate = at**-0.5 + at ** ((2.0 - 3.0 * alpha) / 4.0 - 0.75)
-
-    # term -> the low block's share of it, and the ratio of its value v to its bound
-    bounds = {
-        "A": (abs(low_c), lambda v: v / ((1.0 + at) ** -0.5 * l2) if l2 > 0 else 0.0),
-        "B1": (0, lambda v: v * at / (math.log1p(at) * lw) if lw > 0 else 0.0),
-        "B2": (0, lambda v: v / (b2_rate * (hs + w)) if (hs + w) > 0 else 0.0),
-        "B3": (0, lambda v: v * at**0.5 / lw if lw > 0 else 0.0),
-        "C": (0, lambda v: v / ((1.0 + at) ** -0.5 * h1) if h1 > 0 else 0.0),
-    }
+    low = {"A": abs(low_c)}  # term -> the low block's share of it
     terms = {}
     for name, band in _TERM_BANDS.items():
-        low, ratio = bounds[name]
-        value = low + sum(m for k, m in mags.items() if band in members[k])
-        terms[name] = BoundedValue(value, ratio(value))
+        factor, bound = bounds[name]
+        value = low.get(name, 0) + sum(m for k, m in mags.items() if band in members[k])
+        terms[name] = BoundedValue(value, value * factor / bound)
 
     q0s, annuli = {}, {}
     for key, val in vals.items():

@@ -6,10 +6,8 @@ Two backends:
   unimodular factor on the frequency grid.  Fast and exactly unitary, but
   periodic: a wrap-around guard, checked at every t, rejects evolutions
   whose fastest group speed would carry mass more than 0.4 L.  The factor
-  is even and the xi axis exactly symmetric, so ``_multipliers`` forms it
-  on |xi| = 0 .. Nyquist only (N/2 + 1 entries) and ``_propagate`` reads it
-  mirrored for xi < 0.  It depends on (grid, t, alpha) alone: a decay run
-  forms it once per time and shares it, read-only, with every sample.
+  depends on (grid, t, alpha) alone, so a decay run forms it once per time
+  (``_multipliers``) and shares it with every sample.
 * ``evolve_quadrature`` integrates the inversion integral directly at
   arbitrary points, making no periodicity assumption.  The amplitude is a
   quintic spline on the xi grid, so it is smooth on each grid cell and the
@@ -89,8 +87,13 @@ def _phi(xi, alpha):
     return np.abs(xi) ** alpha
 
 
+def phase_speed(xi, alpha):
+    """|Phi'(xi)| = alpha |xi|^{alpha-1}, the group speed at frequency xi."""
+    return alpha * np.abs(xi) ** (alpha - 1.0)
+
+
 def _dphi(xi, alpha):
-    return alpha * np.abs(xi) ** (alpha - 1.0) * np.sign(xi)
+    return phase_speed(xi, alpha) * np.sign(xi)
 
 
 def _d2phi(xi, alpha):
@@ -112,10 +115,10 @@ def _eiq(xi, t, x, alpha):
 
 def _multipliers(grid: GridSpec, alpha: float, times) -> dict:
     """t -> exp(i t |xi|^alpha), read-only, for each nonzero t, on |xi| = 0, 1, .., N/2 xi
-    spacings: the xi >= 0 axis and the unpaired node -N/2.
+    spacings: the xi >= 0 axis and the unpaired node -N/2; the factor is even, so
+    ``_propagate`` reads it mirrored for xi < 0.
 
-    For t != 0, 1j * t * |xi|^alpha is exactly +0 + i (t |xi|^alpha), so its (cos, sin)
-    is the complex exp bit for bit.
+    For t != 0 the exponent is exactly +0 + i t |xi|^alpha, so (cos, sin) is the exp.
     """
     phase = _phi(grid.xi[grid.size // 2::-1], alpha)
     out = {}
@@ -139,14 +142,9 @@ def _propagate(hat: np.ndarray, half: np.ndarray) -> np.ndarray:
     return out
 
 
-def phase_speed(xi, alpha):
-    """|Phi'(xi)| = alpha |xi|^{alpha-1}, the group speed at frequency xi."""
-    return alpha * np.abs(xi) ** (alpha - 1.0)
-
-
 @dataclass(frozen=True)
 class PhaseSpec:
-    """The phase Q_{t,x}(xi) = x xi + t |xi|^alpha and its derivatives."""
+    """The derivatives of the phase Q_{t,x}(xi) = x xi + t |xi|^alpha."""
 
     alpha: float = 0.5
     t: float = 0.0
@@ -154,9 +152,6 @@ class PhaseSpec:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-
-    def q(self, xi):
-        return _q(np.asarray(xi, dtype=float), self.t, self.x, self.alpha)
 
     def dq(self, xi):
         return _dq(np.asarray(xi, dtype=float), self.t, self.x, self.alpha)
@@ -266,7 +261,6 @@ class SpectralAmplitude:
         # and one basis evaluation serve both parts
         coeffs, _ = dgbtrs(lu, _SPLINE_K, _SPLINE_K, F.values.view(float).reshape(-1, 2), piv)
         self._spline = BSpline.construct_fast(knots, np.ascontiguousarray(coeffs), _SPLINE_K)
-        self.grid = F.grid
         self.xi_spacing = d = F.grid.xi_spacing
         floor = 0.5 * d
         self.support = []

@@ -79,16 +79,14 @@ def generate_schwartz(seed: int, index: int, band: tuple, grid: GridSpec) -> Sam
     that the declared spectral support is representable.
     """
     lo, hi = float(band[0]), float(band[1])
-    if not (0 < lo < hi):
-        raise ParameterError("band must satisfy 0 < lo < hi")
     if lo >= grid.nyquist:
         raise ParameterError(
             f"band lower edge {lo:g} is not below the Nyquist frequency {grid.nyquist:g}"
         )
-    hi_eff = min(hi, 0.95 * grid.nyquist)
+    window = _grid_band_window(grid, lo, min(hi, 0.95 * grid.nyquist))
     # the mixture is transformed in its own buffer, and the band-passed sample
     # is formed back in it: two N-arrays in flight, bit for bit the plain form
     raw = _mixture(grid, seed, index)
     hat = _forward_raw(grid, raw, out=np.empty_like(raw))
-    hat *= _grid_band_window(grid, lo, hi_eff)
+    hat *= window
     return SampledFunction(grid, _inverse_raw(grid, hat, out=raw), _adopt=True)

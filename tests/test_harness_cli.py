@@ -24,7 +24,8 @@ from dispersive_decay.calculus import (
 )
 from dispersive_decay.cli import build_parser, main, run_pins
 from dispersive_decay.errors import OutOfBandError, ParameterError
-from dispersive_decay.grid import GridSpec, SampledFunction, _forward_raw, _inverse_raw, forward_ft
+from dispersive_decay.grid import (GridSpec, SampledFunction, _forward_raw, _inverse_raw, forward_ft,
+                                   l2_norm_physical)
 from dispersive_decay.harness import (
     DYADIC_TIMES,
     LEMMA_GRID,
@@ -118,7 +119,7 @@ class TestGenerateSchwartz:
         for i in range(20):
             f = generate_schwartz(0, i, (0.5, 8.0), SMALL)
             nb = norms(f)
-            assert nb.l2 > 0 and np.isfinite(nb.h1) and np.isfinite(nb.weighted)
+            assert l2_norm_physical(f) > 0 and np.isfinite(nb.h1) and np.isfinite(nb.weighted)
 
     def test_invalid_band(self):
         with pytest.raises(ParameterError):

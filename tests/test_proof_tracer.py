@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dispersive_decay import propagator, proof_tracer
-from dispersive_decay.errors import AccuracyNotMetError, DomainTooSmallError, ParameterError
+from dispersive_decay.errors import (AccuracyNotMetError, DomainTooSmallError, ParameterError,
+                                     UndefinedRatioError)
 from dispersive_decay.grid import GridSpec, SampledFunction, SpectralFunction, forward_ft, inverse_ft
 from dispersive_decay.harness import _dominant_speed
 from dispersive_decay.littlewood_paley import BumpFunction
@@ -264,6 +265,15 @@ class TestTraceTerms:
         assert list(trace.terms) == ["A", "B1", "B2", "B3", "C"]
         assert all(term == (0.0, 0.0) for term in trace.terms.values())
         assert trace.reconstruction_defect == 0.0
+
+    def test_vanishing_bound_raises(self):
+        # seed-0 sample 0 scaled by 1e-170: every norm underflows to 0, while B2 and C
+        # stay nonzero (2.0e-174 and 4.8e-174), and a ratio of 0.0 would pass every gate
+        phi = generate_schwartz(0, 0, (0.5, 8.0), GRID)
+        tiny = SampledFunction(GRID, phi.values * 1e-170)
+        t = 4096.0
+        with pytest.raises(UndefinedRatioError, match="bound vanishes"):
+            trace_terms(tiny, t, -t * _dominant_speed(tiny, 0.5))
 
     def test_reconstruction_and_triangle(self):
         t = 2048.0
