@@ -335,7 +335,7 @@ def run_trace_ratio_suite(config: SuiteConfig, times: tuple = TRACE_SUITE_TIMES,
         for t in times:
             for ray_factor in (0.125, 1.0, 8.0):
                 x = -t * speed * ray_factor
-                tr = trace_terms(phi, t, x, config.alpha, with_annuli=False)
+                tr = trace_terms(phi, t, x, config.alpha)
                 for name, term in tr.terms.items():
                     maxima[name] = max(maxima.get(name, 0.0), term.ratio)
     return maxima

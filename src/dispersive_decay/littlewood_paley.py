@@ -264,8 +264,3 @@ def lemma2_ratio(f: SampledFunction, k: int, s: float) -> float:
     if not (0.5 < s < 1.0):
         raise ParameterError("s must lie in (1/2, 1)")
     return _Piece(f, k).lemma2(s, _lemma_denominator(f))
-
-
-def resolvable_k(grid: GridSpec, k: int) -> bool:
-    """True when band k fits below the Nyquist frequency and its annulus holds a grid node."""
-    return bool(_usable_bands(grid, (k,), np.abs(grid.xi)))

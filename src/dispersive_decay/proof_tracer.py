@@ -3,17 +3,17 @@
 For a fixed evaluation point (t, x) the propagator value is split over dyadic
 frequency bands into a low block (A), a middle block (B) further partitioned
 by the index sets I1/I2/I3 (how the ray x/t compares with the group speeds on
-the annulus), and a high block (C).  Every term integrates the same
-amplitude against its own window (psi_k, the low bump, or an annulus around
-the stationary point), so all of them come from one set of quadrature cells
-per (t, x) with one amplitude evaluation per node.  A window is the
-propagator's (intervals, weight, cap), keyed here by its label; the
-propagator cuts the support at the window edges and caps the cells.  The
-full integral u(t, x) is computed apart, on its own cells, so the
-reconstruction defect compares two quadratures.  Each term is reported
-together with the ratio to the right side of the bound it must satisfy; the
-constants are implicit in the analysis, so the suites pin the empirical
-ratios instead of asserting absolute thresholds.
+the annulus), and a high block (C).  Every term integrates the same amplitude
+against its own window (psi_k or the low bump; the annuli around the
+stationary point are opt-in), so all of them come from one set of quadrature
+cells per (t, x), the cells ``trace-proof`` and criterion 9 share, with one
+amplitude evaluation per node.  A window is the propagator's (intervals,
+weight, cap), keyed by its label; the propagator cuts the support at the
+window edges and caps the cells.  The full integral u(t, x) is computed
+apart, on its own cells, so the reconstruction defect compares two
+quadratures.  Each term is reported with the ratio to the right side of the
+bound it must satisfy; the constants are implicit in the analysis, so the
+suites pin the empirical ratios instead of asserting absolute thresholds.
 
 Index-set membership uses closed inequalities exactly as stated, so a boundary
 k may belong to two sets; it is recorded in both (upper bounds tolerate double
@@ -224,11 +224,10 @@ def choose_l0(k: int, t: float, alpha: float) -> int:
 def _annulus_windows(amp: SpectralAmplitude, k: int, t: float, x: float, alpha: float) -> dict:
     """The stationary-phase windows of band k: the centre, then the l-annuli around xi0.
 
-    Keyed (k, "center") and (k, l): the part of supp psi_k each covers, the
-    weight psi_k times the centre bump or psi_l(. - xi0), and the cell width
-    that resolves that weight.  The centre always comes first (its intervals
-    may be empty); an l-annulus is listed only where it meets the band.  The
-    l-sum stops once 2^{l-1} exceeds the reach of supp psi_k around xi0.
+    Keyed (k, "center") and (k, l): the part of supp psi_k each covers, the weight
+    psi_k times the centre bump or psi_l(. - xi0), and the cell width that resolves
+    that weight.  The centre comes first (its intervals may be empty); an l-annulus
+    is listed only where it meets the band, until 2^{l-1} exceeds psi_k's reach from xi0.
     """
     xi0 = stationary_point(t, x, alpha)
     l0 = choose_l0(k, t, alpha)
@@ -270,13 +269,15 @@ class ProofTrace:
 
 
 def trace_terms(phi: SampledFunction, t: float, x: float, alpha: float = 0.5,
-                with_annuli: bool = True) -> ProofTrace:
+                with_annuli: bool = False) -> ProofTrace:
     """Compute |P_k u(t, x)| for every active band and aggregate the proof terms.
 
     ``terms`` maps each term, A to C, to its value and its ratio to the right side
     of its bound: finite, recorded ratios standing in for the implicit constants.
     A sample with an empty occupied band traces to zeros; on any other, a bound
-    that vanishes (its norms underflow) raises UndefinedRatioError.
+    that vanishes (its norms underflow) raises UndefinedRatioError.  Annuli are
+    opt-in: ``with_annuli`` adds the l-annuli around xi0 (``annuli``, ``q0_map``),
+    whose edges also cut the cells that ``trace-proof`` and criterion 9 share.
     """
     part = build_partition(t, x, alpha)
     amp = _amplitude(phi.spectrum)

@@ -538,8 +538,7 @@ def evolve_quadrature(phi_hat: SpectralFunction, t: float, x_points, alpha: floa
     return out
 
 
-def factorization_residual(phi: SampledFunction, t: float, dt: float = 1e-3,
-                           alpha: float = 0.5) -> float:
+def factorization_residual(phi: SampledFunction, t: float, dt: float, alpha: float = 0.5) -> float:
     """Residual of the factorized wave equation: || D_t^2 u + |D|^{2 alpha} u || / || |D|^{2 alpha} u ||.
 
     D_t^2 is the centered second difference of the propagator at t - dt, t,

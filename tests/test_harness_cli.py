@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from dispersive_decay import cli, harness, littlewood_paley, pins, propagator
+from dispersive_decay import cli, harness, littlewood_paley, pins, proof_tracer, propagator
 from dispersive_decay.calculus import (
     fractional_derivative,
     locate_sup,
@@ -39,7 +39,7 @@ from dispersive_decay.harness import (
     run_trace,
     write_csv,
 )
-from dispersive_decay.littlewood_paley import project, resolvable_k
+from dispersive_decay.littlewood_paley import _usable_bands, project
 from dispersive_decay.propagator import evolve_spectral
 from dispersive_decay import grid as grid_module
 from dispersive_decay import schwartz
@@ -501,7 +501,7 @@ class TestLemmaSuites:
         table = run_lemma_suites(cfg, self.GRID)
         # the lowest annuli contain no grid node at this resolution, and no row counts them
         k_range = range(LEMMA_K_RANGE[0], LEMMA_K_RANGE[1] + 1)
-        usable = [k for k in k_range if resolvable_k(self.GRID, k)]
+        usable = [k for k in k_range if _usable_bands(self.GRID, (k,), np.abs(self.GRID.xi))]
         assert -8 not in usable
         for row in table:
             assert row["n"] + row["n_undefined"] == cfg.n_samples * len(usable)
@@ -524,7 +524,7 @@ class TestLemmaSuites:
             f = schwartz_sample(grid, config.seed, i)
             denom = lp_norm(f, 2) + weighted_norm(f)
             for k in range(LEMMA_K_RANGE[0], LEMMA_K_RANGE[1] + 1):
-                if not resolvable_k(grid, k):
+                if not _usable_bands(grid, (k,), np.abs(grid.xi)):
                     continue
                 piece = project(f, k)
                 piece_hat = forward_ft(piece).values
@@ -559,7 +559,7 @@ class TestLemmaSuites:
         for i in range(cfg.n_samples):
             f = schwartz_sample(self.GRID, cfg.seed, i)
             for k in range(LEMMA_K_RANGE[0], LEMMA_K_RANGE[1] + 1):
-                if resolvable_k(self.GRID, k):
+                if _usable_bands(self.GRID, (k,), np.abs(self.GRID.xi)):
                     piece = project(f, k)
                     for name, (p, q) in exponents.items():
                         rows[name].append(lp_norm(piece, q) / (
@@ -632,7 +632,8 @@ class TestLemmaSuites:
         # then P_k f, |D| P_k f and the transform of -i x P_k f per usable k
         cfg = SuiteConfig(seed=0, n_samples=2)
         run_lemma_suites(cfg, self.GRID)
-        usable = sum(resolvable_k(self.GRID, k) for k in range(-8, 9))
+        usable = sum(bool(_usable_bands(self.GRID, (k,), np.abs(self.GRID.xi)))
+                     for k in range(-8, 9))
         assert len(fft_calls) > 0
         assert len(fft_calls) <= cfg.n_samples * (2 + 3 * usable)
 
@@ -994,3 +995,42 @@ class TestCli:
         monkeypatch.setattr(cli, "run_trace", with_nan)
         assert main(["trace-proof"]) == 1
         assert "regression: bound ratio B2 = nan exceeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [[], ["--time", "2048"], ["--time", "8192"]],
+                             ids=["defaults", "time-2048", "time-8192"])
+    def test_trace_proof_rows_are_the_criterion9_trace(self, argv, tmp_path, monkeypatch):
+        # at seed 0, the default band and grid and a time of the suite, trace-proof traces
+        # sample 0 of the criterion-9 suite on its dominant ray: its rows are that trace's
+        # magnitudes, ratios and memberships, bit for bit
+        out = tmp_path / "trace.csv"
+        assert main(["trace-proof", "--out", str(out)] + argv) == 0
+        rows = read_csv_rows(out)
+        t = float(argv[1]) if argv else 4096.0
+        assert t in harness.TRACE_SUITE_TIMES
+        suite = []
+        traced = harness.trace_terms
+        monkeypatch.setattr(harness, "trace_terms",
+                            lambda *args, **kw: suite.append(traced(*args, **kw)) or suite[-1])
+        harness.run_trace_ratio_suite(SuiteConfig(n_samples=1), times=(t,))
+        trace = suite[1]  # the rays 1/8, 1 and 8 times the dominant speed, in order
+        pieces = [r for r in rows if r["section"] == "piece"]
+        assert {r["k"]: r["magnitude"] for r in pieces} == trace.piece_mags
+        assert {r["k"]: r["membership"] for r in pieces} == \
+            {k: "+".join(m) for k, m in trace.memberships.items()}
+        assert {r["section"]: (r["magnitude"], r["bound_ratio"])
+                for r in rows if r["section"] != "piece"} == \
+            {name: tuple(term) for name, term in trace.terms.items()}
+
+    def test_trace_proof_builds_no_annulus_window(self, monkeypatch):
+        calls = []
+        windows = proof_tracer._annulus_windows
+        monkeypatch.setattr(proof_tracer, "_annulus_windows",
+                            lambda *args: calls.append(args[1]) or windows(*args))
+        assert main(["trace-proof"]) == 0
+        assert calls == []
+        # the spy is live: the opt-in decomposition of the same point goes through it
+        phi = harness._trace_sample(SuiteConfig(), 0, None)
+        t = 4096.0
+        proof_tracer.trace_terms(phi, t, -t * harness._dominant_speed(phi, 0.5), 0.5,
+                                 with_annuli=True)
+        assert calls

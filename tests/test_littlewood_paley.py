@@ -18,6 +18,7 @@ from dispersive_decay.grid import (GridSpec, SampledFunction, SpectralFunction, 
 from dispersive_decay.harness import _ROW_RATIOS, LEMMA_GRID, SuiteConfig, run_lemma_suites
 from dispersive_decay.littlewood_paley import (
     _lemma_denominator,
+    _usable_bands,
     _Piece,
     _windowed_piece,
     BumpFunction,
@@ -26,7 +27,6 @@ from dispersive_decay.littlewood_paley import (
     lemma1_ratio,
     lemma2_ratio,
     project,
-    resolvable_k,
 )
 from dispersive_decay.schwartz import schwartz_sample
 
@@ -239,7 +239,7 @@ class TestPieceEngine:
         node_grid = GridSpec(half_width=np.pi, size=256)
         assert {2.0 ** k for k in range(0, 7)} <= set(np.abs(node_grid.xi))
         for grid in (LEMMA_GRID, GridSpec(half_width=4.0, size=16), node_grid):
-            ks = [k for k in range(-12, 12) if resolvable_k(grid, k)]
+            ks = [k for k in range(-12, 12) if _usable_bands(grid, (k,), np.abs(grid.xi))]
             assert len(ks) >= 2
             out = np.empty(grid.size)
             for k in ks:
@@ -275,7 +275,7 @@ class TestPieceEngine:
         for grid in (grid200, GridSpec(half_width=40.0, size=4096)):
             for i in range(3):
                 f = schwartz_sample(grid, 1, i)
-                for k in (k for k in range(-8, 9) if resolvable_k(grid, k)):
+                for k in (k for k in range(-8, 9) if _usable_bands(grid, (k,), np.abs(grid.xi))):
                     dxi = _forward_raw(grid, -1j * grid.x * project(f, k).values)
                     assert _Piece(f, k).dxi_l2 == _l2(dxi, grid.xi_spacing), (grid, i, k)
 

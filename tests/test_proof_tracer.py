@@ -224,7 +224,7 @@ class TestAnnulusDecomposition:
         t = 2048.0
         phi = generate_schwartz(0, 0, (0.5, 16.0), GRID)
         x = -t * 0.5 / np.sqrt(2.0)  # ray along the xi ~ 2 stationary ray
-        trace = trace_terms(phi, t, x)
+        trace = trace_terms(phi, t, x, with_annuli=True)
         k = next(k for k in trace.annuli if 0 <= k <= 3)
         total = sum(m for _, m in trace.annuli[k])
         amp = SpectralAmplitude(forward_ft(phi))
@@ -249,7 +249,7 @@ class TestAnnulusDecomposition:
         phi = inverse_ft(SpectralFunction(GRID, hat))
         part = build_partition(t, x)
         assert 0 in part.I2
-        pieces = trace_terms(phi, t, x).annuli[0]
+        pieces = trace_terms(phi, t, x, with_annuli=True).annuli[0]
         assert pieces[0] == ("center", 0.0)
 
     def test_l0_choice(self):
@@ -364,7 +364,7 @@ class TestTraceEngine:
         # panels as fine as a quadrature of their own
         phi = generate_schwartz(seed, 0, band, GRID)
         x = -t * _dominant_speed(phi, 0.5) if seed else self.X
-        trace = trace_terms(phi, t, x)
+        trace = trace_terms(phi, t, x, with_annuli=True)
         assert trace.annuli
         amp = SpectralAmplitude(forward_ft(phi))
         bump = BumpFunction()
@@ -432,7 +432,7 @@ class TestTraceEngine:
         monkeypatch.setattr(proof_tracer, "_windowed_integrals", spy_windowed)
         for name in rules:
             monkeypatch.setattr(propagator, name, spy_rule(name))
-        trace = trace_terms(phi, self.T, self.X)
+        trace = trace_terms(phi, self.T, self.X, with_annuli=True)
         assert len(passes) == 2
         shared, full = (np.concatenate(p) for p in passes)
         assert full.size > 1000 and shared.size > 1000
@@ -449,7 +449,7 @@ class TestTraceEngine:
             return passes[-1]
 
         monkeypatch.setattr(propagator, "_pieces", spy)
-        trace = trace_terms(phi, self.T, self.X)
+        trace = trace_terms(phi, self.T, self.X, with_annuli=True)
         pieces = [(a, b) for a, b, _ in passes[0]]
         caps = [cap for *_, cap in passes[0]]
         xi0 = stationary_point(self.T, self.X, 0.5)
@@ -468,9 +468,9 @@ class TestTraceEngine:
     def test_block_size_does_not_matter(self, phi, monkeypatch):
         # odd chunks of 101 nodes put window edges inside them; the sums only
         # regroup, so they agree to rounding of the integrand's mass
-        ref = self.magnitudes(trace_terms(phi, self.T, self.X))
+        ref = self.magnitudes(trace_terms(phi, self.T, self.X, with_annuli=True))
         monkeypatch.setattr(propagator, "_NODE_CHUNK", 101)
-        got = self.magnitudes(trace_terms(phi, self.T, self.X))
+        got = self.magnitudes(trace_terms(phi, self.T, self.X, with_annuli=True))
         mass = np.sum(np.abs(forward_ft(phi).values)) * GRID.xi_spacing / (2 * np.pi)
         assert got.keys() == ref.keys()
         for key, value in ref.items():

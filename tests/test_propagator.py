@@ -561,4 +561,4 @@ class TestFactorization:
     def test_zero_input(self, grid200):
         with pytest.raises(UndefinedRatioError):
             factorization_residual(
-                SampledFunction(grid200, np.zeros(grid200.size)), 5.0)
+                SampledFunction(grid200, np.zeros(grid200.size)), 5.0, 1e-3)
