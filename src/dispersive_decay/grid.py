@@ -255,10 +255,8 @@ def _inverse_raw(grid: GridSpec, hat: np.ndarray, out: np.ndarray | None = None)
     """Exact inverse of _forward_raw (equals the Riemann sum of the inversion integral).
 
     ``hat`` is complex. ``out``, a complex N-array for the FFT to run in, may be ``hat``
-    itself, which then holds one half aside while its halves swap. For h <= 1 the scaling
-    by (1/h, -0) keeps the division's signed zeros (``TestTransformBits``).
+    itself, which then holds one half aside while its halves swap.
     """
-    _keep_heap()
     signs, m = grid._signs(), grid.size // 2
     # ifftshift(hat signs) / h in place
     F = np.empty(grid.size, dtype=np.complex128) if out is None else out
@@ -270,6 +268,13 @@ def _inverse_raw(grid: GridSpec, hat: np.ndarray, out: np.ndarray | None = None)
     else:
         np.multiply(hat[m:], signs[m:], out=F[:m])
         np.multiply(hat[:m], signs[:m], out=F[m:])
+    return _ifft_scaled(grid, F)
+
+
+def _ifft_scaled(grid: GridSpec, F: np.ndarray) -> np.ndarray:
+    """ifft(F / h) in place, F holding (-1)^j fhat in the FFT's order; for h <= 1 the scaling by
+    (1/h, -0) keeps the division's signed zeros (``TestTransformBits``)."""
+    _keep_heap()
     h = grid.spacing
     if h <= 1.0:
         F *= complex(1.0 / h, -0.0)

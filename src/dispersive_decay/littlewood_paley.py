@@ -12,8 +12,9 @@ quotient of the two sides of an inequality whose constant is implicit, and the
 suites record the empirical maxima as regression-pinned constants.  All of them
 are functionals of one dyadic piece, computed by ``_Piece`` from the sample's
 cached spectrum, so a sample is transformed once for all its pieces and rows.
-A piece keeps scalars only, and holds its arrays in a pooled workspace
-(``_workspace``) while it is built, so pieces can be built on several threads.
+A piece reads the spectrum on psi_k's window alone, keeps scalars only, and
+holds its arrays in a pooled workspace (``_workspace``) while it is built, so
+pieces can be built on several threads.
 """
 
 from __future__ import annotations
@@ -30,9 +31,12 @@ from .grid import (
     GridSpec,
     SampledFunction,
     _forward_raw,
+    _ifft_scaled,
     _inverse_raw,
     _l2,
+    _trapezoid_sum,
     l2_norm_physical,
+    trapezoid_weights,
 )
 
 __all__ = [
@@ -145,44 +149,44 @@ def _bump_window(grid: GridSpec, k: int) -> tuple:
     return lo, hi, psi
 
 
-def _windowed_piece(grid: GridSpec, k: int, out: np.ndarray) -> np.ndarray:
-    """``_BUMP.dyadic_piece(grid.xi, k)`` bit for bit, into ``out``: the bump is 0.0 off its window
-    (``_bump_window``); it is even and the xi axis exactly symmetric, so xi < 0 takes its mirror."""
-    m = grid.size // 2
-    lo, hi, psi = _bump_window(grid, k)
-    out.fill(0.0)
-    out[m + lo:m + hi] = psi
-    out[m - hi + 1:m - lo + 1] = out[m + hi - 1:m + lo - 1:-1]
-    return out
-
-
 class _Piece:
     """The scalars of the dyadic piece psi_k fhat of one sample, and every ratio built from them.
 
-    Its arrays are the two of one checked-out workspace; no transform runs in place and the
-    bump is cached (``_bump_window``), so pocketfft's scratch is the piece's only other large
-    block. ``derivative`` is the (s, p) of the |D|^s P_k f norm.
+    psi_k fhat and |xi|^s psi_k fhat are formed on the bump's window (``_bump_window``) alone,
+    each written, times (-1)^j, into the FFT's order in a workspace array that is zero elsewhere,
+    so neither inverse pays the centring pass. ``derivative`` is the (s, p) of the |D|^s norm.
     """
 
     def __init__(self, f: SampledFunction, k: int, derivative: tuple = (1.0, 2)):
         _require_in_band(f.grid, k)
         grid, hat = f.grid, f.spectrum
-        n, h = grid.size, grid.spacing
+        n, h, m = grid.size, grid.spacing, grid.size // 2
         self.k, (self.s, self.p) = k, derivative
-        with _workspace(n) as (piece_hat, a):
-            floats, scratch = piece_hat.view(np.float64), a.view(np.float64)[:n]
-            np.multiply(_windowed_piece(grid, k, scratch), hat.values, out=piece_hat)
-            self.peak = float(np.max(np.abs(piece_hat, out=scratch)))
-            self.hat_l2 = _l2(piece_hat, grid.xi_spacing, scratch) / np.sqrt(2.0 * np.pi)
-            phys = _inverse_raw(grid, piece_hat, out=a)
+        lo, hi, psi = _bump_window(grid, k)
+        # (nodes of fhat, the same nodes in the FFT's order, psi_k on them): xi > 0, then xi < 0
+        sides = ((slice(m + lo, m + hi), slice(lo, hi), psi),
+                 (slice(m - hi + 1, m - lo + 1), slice(n - hi + 1, n - lo + 1), psi[::-1]))
+        with _workspace(n) as (a, b):
+            floats, scratch = a.view(np.float64), b.view(np.float64)[:n]
+            floats[:n] = 0.0
+            b[:] = 0.0
+            for node, at, bump in sides:  # psi_k fhat (-1)^j into b, |psi_k fhat| into floats
+                np.abs(np.multiply(bump, hat.values[node], out=b[at]), out=floats[node])
+                np.negative(b[at.start | 1:at.stop:2], out=b[at.start | 1:at.stop:2])
+            d_hat = [_abs_xi_power(grid, self.s)[node] * b[at] for node, at, _ in sides]
+            self.peak = float(np.max(floats[m - hi + 1:m + hi]))
+            w = trapezoid_weights(n, grid.xi_spacing)
+            self.hat_l2 = float(np.sqrt(_trapezoid_sum(floats[:n], w, 2))) / np.sqrt(2.0 * np.pi)
+            phys = _ifft_scaled(grid, b)
             mag = np.abs(phys, out=floats[:n])
             self.norms = {q: _lp(mag, h, q, floats[n:]) for q in (1, 2, 4, np.inf)}
             np.multiply(grid.x, phys, out=phys)
-            self.dxi_l2 = _l2(_forward_raw(grid, phys, out=piece_hat), grid.xi_spacing, scratch)
-            np.multiply(_windowed_piece(grid, k, floats[:n]), hat.values, out=a)
-            np.multiply(_abs_xi_power(grid, self.s), a, out=a)
-            d = _inverse_raw(grid, a, out=piece_hat)
-            self.d_norm = _lp(np.abs(d, out=scratch), h, self.p, scratch)
+            self.dxi_l2 = _l2(_forward_raw(grid, phys, out=a), grid.xi_spacing, scratch)
+            b[:] = 0.0
+            for (_, at, _), part in zip(sides, d_hat):
+                b[at] = part
+            d = np.abs(_ifft_scaled(grid, b), out=floats[:n])
+            self.d_norm = _lp(d, h, self.p, d)
         ref = hat._peak
         self.vanishes = bool(self.peak == 0.0 or (ref > 0 and self.peak < _ZERO_PIECE_RTOL * ref))
 

@@ -209,6 +209,20 @@ class TestSup:
     def test_zero(self, grid40):
         assert locate_sup(SampledFunction(grid40, np.zeros(grid40.size))).value == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["real", "imag", "both"])
+    def test_non_finite_node_rejected(self, grid40, bad, part):
+        # the verdict is taken at the argmax of |f|: a non-finite real part,
+        # imaginary part or both, at the first, a middle and the last node,
+        # among finite samples up to 1e3, raises the message of every check
+        re, im = {"real": (bad, 1.0), "imag": (1.0, bad), "both": (bad, bad)}[part]
+        for node in (0, grid40.size // 2, grid40.size - 1):
+            values = gaussian(grid40, c=1e3).values.copy()
+            values[node] = complex(re, im)
+            with pytest.raises(InvalidInputError,
+                               match="^locate_sup: input contains non-finite values$"):
+                locate_sup(SampledFunction(grid40, values))
+
     def test_off_grid_peak_refinement(self, grid40):
         x0 = 0.37 * grid40.spacing + 1.0
         f = gaussian(grid40, a=1.0, x0=x0)

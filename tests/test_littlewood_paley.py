@@ -12,15 +12,16 @@ from dispersive_decay.errors import (
     UndefinedRatioError,
 )
 from dispersive_decay import harness, littlewood_paley
-from dispersive_decay.calculus import lp_norm
-from dispersive_decay.grid import (GridSpec, SampledFunction, SpectralFunction, _forward_raw, _l2,
+from dispersive_decay.calculus import _lp, lp_norm
+from dispersive_decay.grid import (GridSpec, SampledFunction, SpectralFunction, _forward_raw,
+                                   _inverse_raw, _l2,
                                    forward_ft, inverse_ft)
 from dispersive_decay.harness import _ROW_RATIOS, LEMMA_GRID, SuiteConfig, run_lemma_suites
 from dispersive_decay.littlewood_paley import (
+    _bump_window,
     _lemma_denominator,
     _usable_bands,
     _Piece,
-    _windowed_piece,
     BumpFunction,
     bernstein_derivative_ratio,
     bernstein_ratio,
@@ -231,21 +232,62 @@ def bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def _full_grid_scalars(f, k, derivatives):
+    """A piece's scalars formed the full-grid way: psi_k fhat on all N nodes, then the plain
+    transforms and norms. (peak, hat_l2, the four norms, dxi_l2) and one d_norm per (s, p)."""
+    grid, h = f.grid, f.grid.spacing
+    piece_hat = BumpFunction().dyadic_piece(grid.xi, k) * f.spectrum.values
+    phys = _inverse_raw(grid, piece_hat)
+    scalars = [float(np.max(np.abs(piece_hat))),
+               _l2(piece_hat, grid.xi_spacing) / np.sqrt(2.0 * np.pi)]
+    scalars += [_lp(np.abs(phys), h, q, np.abs(phys)) for q in (1, 2, 4, np.inf)]
+    scalars.append(_l2(_forward_raw(grid, grid.x * phys), grid.xi_spacing))
+    d_norms = {}
+    for s, p in derivatives:
+        d = np.abs(_inverse_raw(grid, np.abs(grid.xi) ** s * piece_hat))
+        d_norms[s, p] = _lp(d, h, p, d.copy())
+    return scalars, d_norms
+
+
+_NODE_GRID = GridSpec(half_width=np.pi, size=256)
+_DERIVATIVES = [(1.0, 2), (0.5, 1), (0.5, 4), (0.5, np.inf)]
+# (samples, the (s, p) of the |D|^s P_k f norm) of each case of the full-grid oracle
+_ORACLE_CASES = {
+    "lemma-grid": (lambda: [schwartz_sample(LEMMA_GRID, 0, i) for i in range(3)], [(1.0, 2)]),
+    "lemma-grid-derivative": (lambda: [schwartz_sample(LEMMA_GRID, 0, 0)], _DERIVATIVES[1:]),
+    "L4-N16": (lambda: [gaussian(GridSpec(4.0, 16), a=1.0, b=b) for b in (0.0, 2.5)],
+               _DERIVATIVES),
+    "node-grid": (lambda: [gaussian(_NODE_GRID, a=0.1, b=b) for b in (0.0, 3.0, 20.0)],
+                  _DERIVATIVES),
+    "h-above-1": (lambda: [gaussian(GridSpec(64.0, 32), a=0.002, b=b) for b in (0.0, 0.3)],
+                  _DERIVATIVES),
+    "zero-sample": (lambda: [SampledFunction(_NODE_GRID, np.zeros(_NODE_GRID.size))],
+                    _DERIVATIVES),
+}
+
+
 class TestPieceEngine:
     """_Piece at its transforms: a windowed bump, pooled workspaces, one norm per (piece, p)."""
 
     def test_windowed_bump_is_bit_equal(self, bump):
-        # pi / L = 1 puts the nodes on the integers, so 2^{k-1} and 2^{k+1} are nodes
+        # pi / L = 1 puts the nodes on the integers, so 2^{k-1} and 2^{k+1} are nodes;
+        # the window's psi is the bump on xi > 0 and, mirrored, on xi < 0, and off
+        # the window the bump is exactly 0.0
         node_grid = GridSpec(half_width=np.pi, size=256)
         assert {2.0 ** k for k in range(0, 7)} <= set(np.abs(node_grid.xi))
         for grid in (LEMMA_GRID, GridSpec(half_width=4.0, size=16), node_grid):
             ks = [k for k in range(-12, 12) if _usable_bands(grid, (k,), np.abs(grid.xi))]
             assert len(ks) >= 2
-            out = np.empty(grid.size)
+            m = grid.size // 2
             for k in ks:
-                np.testing.assert_array_equal(bits(_windowed_piece(grid, k, out)),
-                                              bits(bump.dyadic_piece(grid.xi, k)),
-                                              err_msg=f"{grid}, k = {k}")
+                lo, hi, psi = _bump_window(grid, k)
+                full = bump.dyadic_piece(grid.xi, k)
+                off = np.ones(grid.size, dtype=bool)
+                off[m + lo:m + hi] = off[m - hi + 1:m - lo + 1] = False
+                for got, want in ((psi, full[m + lo:m + hi]),
+                                  (psi[::-1], full[m - hi + 1:m - lo + 1]),
+                                  (np.zeros(np.count_nonzero(off)), full[off])):
+                    np.testing.assert_array_equal(bits(got), bits(want), err_msg=f"{grid}, k = {k}")
 
     def test_escaping_arrays_own_their_memory(self, grid200, monkeypatch):
         # a piece hands out scalars alone: every row of every piece keeps its
@@ -327,6 +369,28 @@ class TestPieceEngine:
         for ratio in _ROW_RATIOS.values():
             ratio(piece, denom)
         assert sorted(calls, key=float) == [1, 2, 2, 4, np.inf]
+
+    @pytest.mark.parametrize("case", list(_ORACLE_CASES))
+    def test_scalars_are_bit_equal_to_full_grid_form(self, case):
+        # the piece forms psi_k fhat on the bump's window alone and writes it straight
+        # into the FFT's order; every scalar must keep the bits of the full-grid form
+        samples, derivatives = _ORACLE_CASES[case]
+        for i, f in enumerate(samples()):
+            ks = [k for k in range(-16, 16) if _usable_bands(f.grid, (k,), np.abs(f.grid.xi))]
+            assert len(ks) >= 2
+            for k in ks:
+                scalars, d_norms = _full_grid_scalars(f, k, derivatives)
+                for s, p in derivatives:
+                    piece = _Piece(f, k, (s, p))
+                    got = [piece.peak, piece.hat_l2, *piece.norms.values(), piece.dxi_l2]
+                    assert piece.vanishes == (case == "zero-sample")
+                    np.testing.assert_array_equal(bits(np.array(got + [piece.d_norm])),
+                                                  bits(np.array(scalars + [d_norms[s, p]])),
+                                                  err_msg=f"sample {i}, k = {k}, (s, p) = {s, p}")
+                    if (s, p) != (1.0, 2) and not piece.vanishes:
+                        lhs = scalars[2 + (1, 2, 4, np.inf).index(p)]
+                        rhs = 2.0 ** (-s * k) * d_norms[s, p]
+                        assert bernstein_derivative_ratio(f, k, s, p) == (lhs / rhs, rhs / lhs)
 
     @pytest.mark.parametrize("p", [1, 4, np.inf])
     def test_derivative_ratio_matches_lp_norm(self, grid200, p):
