@@ -273,9 +273,8 @@ class TestPieceEngine:
         # pi / L = 1 puts the nodes on the integers, so 2^{k-1} and 2^{k+1} are nodes;
         # the window's psi is the bump on xi > 0 and, mirrored, on xi < 0, and off
         # the window the bump is exactly 0.0
-        node_grid = GridSpec(half_width=np.pi, size=256)
-        assert {2.0 ** k for k in range(0, 7)} <= set(np.abs(node_grid.xi))
-        for grid in (LEMMA_GRID, GridSpec(half_width=4.0, size=16), node_grid):
+        assert {2.0 ** k for k in range(0, 7)} <= set(np.abs(_NODE_GRID.xi))
+        for grid in (LEMMA_GRID, GridSpec(half_width=4.0, size=16), _NODE_GRID):
             ks = [k for k in range(-12, 12) if _usable_bands(grid, (k,), np.abs(grid.xi))]
             assert len(ks) >= 2
             m = grid.size // 2
